@@ -46,6 +46,8 @@ def loads(text):
             rows.append([int(p) for p in parts])
         except ValueError as exc:
             raise FormatError(f"row {i}: {exc}") from exc
+    if any(ln.strip() for ln in lines[3 + degree:]):
+        raise FormatError(f"unexpected content after the {degree} matrix rows")
     colors = np.array(rows, dtype=np.int64).reshape(degree, degree)
     if degree:
         if colors.min() < 0 or colors.max() >= rank:

@@ -256,23 +256,6 @@ def passman_scheme(q):
     return cfg, G, frob_part
 
 
-def passman_special_colors(q):
-    """(u, t): the subgroup-scheme color through ((0,0), (1,1)) and its
-    image in the fused full scheme."""
-    cfg, G, frob_part = passman_scheme(q)
-    alpha = 0
-    beta = q + 1  # point (1, 1)
-    u = int(frob_part.colors[alpha, beta])
-    phi_gens = [induced_color_action(frob_part, g)
-                for g in AffinePlanePoints(q).signed_swap_generators()]
-    fused, fmap = algebraic_fusion(frob_part, phi_gens)
-    t = fmap.color_to_fused[u]
-    # fused ids equal the full scheme's canonical ids
-    assert fused.same_partition(cfg)
-    t_in_cfg = int(cfg.colors[alpha, beta])
-    return u, t_in_cfg
-
-
 def trace_label_check(q, tensor=None):
     """Search for a color labeling by trace-zero field elements.
 

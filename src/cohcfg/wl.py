@@ -1,17 +1,32 @@
 """Coherent closure: 2-dimensional Weisfeiler-Leman stabilization.
 
-Each round recolors every pair (a, b) by the multiset of color pairs
-(c(a, g), c(g, b)) over all points g.  Multisets are compared by their
-sorted code vectors; a positional 64-bit hash is used only to bucket
-candidates, and every bucket hit is confirmed by an exact byte
-comparison, so hash collisions cannot affect the result.  Rounds repeat
-until no class splits; the stable partition is the coarsest coherent
-refinement of the input.
+Each round recolors every pair (a, b) by its old color and the multiset
+of color pairs (c(a, g), c(g, b)) over all points g.  `stabilize` runs
+in two phases.
 
-The kernel is cubic per round but fully vectorized; the heaviest
-acceptance inputs (two-point extensions of 496-point schemes) take
-minutes, matching the documented budget.
+1. Hash rounds.  The multiset of a cell is replaced by three bilinear
+   hashes H = A[M] @ B[M], with A and B seeded random integer weights
+   per color below a modulus p with n * p**2 <= 2**53: every partial
+   sum of the float64 product is then an exact integer, whatever order
+   the BLAS adds in.  Cells are grouped by one 64-bit key holding the
+   old color exactly and a fold of the three hashes, and renumbered by
+   first appearance in row-major order.  Rounds repeat until the rank
+   stops growing.
+2. Exact certificate.  The cells are visited in color order; each
+   cell's sorted composition codes c(a, g) * r + c(g, b) are compared
+   with those of the previous cell of the same color (one cell of each
+   transposed pair suffices).  If two differ, fresh weights are drawn
+   and phase 1 resumes.
+
+Equal multisets hash equal, so every hash round is no finer than the
+exact round; by induction the hash partition is never finer than the
+exact WL partition.  A certified partition is coherent and refines the
+input, so it is also no coarser than the coarsest coherent refinement;
+the two are equal.  First-appearance ids depend on the partition only,
+so the returned ids are those of exact WL rounds.
 """
+
+import math
 
 import numpy as np
 
@@ -21,12 +36,10 @@ from .errors import ResourceLimitError, UsageError
 TWO_EXTENSION_DEGREE_LIMIT = 30
 
 _INT32_MAX_RANK = 46340  # r*r stays below 2^31
-
-
-def _position_weights(n):
-    rng = np.random.default_rng(0x5EED)
-    w = rng.integers(1, 2 ** 62, size=n, dtype=np.int64).astype(np.uint64)
-    return w * np.uint64(2) + np.uint64(1)
+# odd multipliers that fold the three hashes into one 64-bit key
+_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F),
+        np.uint64(0x165667B19E3779F9))
+_BATCH_BYTES = 1 << 19  # a certificate batch stays in a core's L2 cache
 
 
 def _normalize(colors):
@@ -44,45 +57,89 @@ def _normalize(colors):
     return inv.reshape(n, n)
 
 
-def _refine_round(M, r, weights):
-    """One full recoloring pass; returns (new matrix, new rank)."""
+def _hash_modulus(n):
+    """Largest weight bound p <= 2^22 with n * p^2 <= 2^53, so that n
+    products of weights below p sum to an exact float64 integer."""
+    return min(1 << 22, math.isqrt((1 << 53) // max(n, 1)))
+
+
+def _hash_round(M, r, rng):
+    """Regroup the cells by (color, hashes); returns (new matrix, new rank).
+
+    The three exact hashes are folded into one 64-bit key whose low bits
+    hold the old color: a collision can keep together cells of one old
+    class that the exact round would split, but never joins two classes.
+    """
     n = M.shape[0]
-    use32 = r <= _INT32_MAX_RANK
-    dtype = np.int32 if use32 else np.int64
-    Md = M.astype(dtype, copy=False) if M.dtype == dtype else M.astype(dtype)
-    MTd = np.ascontiguousarray(Md.T)
-    new = np.empty((n, n), dtype=np.int64)
-    groups = {}
-    next_id = 0
-    chunk = max(1, int(48_000_000 // (max(n, 1) * max(n, 1) * np.dtype(dtype).itemsize)))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        codes = Md[start:stop, None, :] * dtype(r) + MTd[None, :, :]
-        codes.sort(axis=2)
-        hashes = (codes.astype(np.uint64) * weights).sum(axis=2, dtype=np.uint64)
-        for ai in range(stop - start):
-            crow = codes[ai]
-            hrow = hashes[ai]
-            mrow = M[start + ai]
-            orow = new[start + ai]
-            for b in range(n):
-                key = (int(mrow[b]), int(hrow[b]))
-                row_bytes = crow[b].tobytes()
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = [(row_bytes, next_id)]
-                    orow[b] = next_id
-                    next_id += 1
-                    continue
-                for rb, cid in bucket:
-                    if rb == row_bytes:
-                        orow[b] = cid
-                        break
-                else:
-                    bucket.append((row_bytes, next_id))
-                    orow[b] = next_id
-                    next_id += 1
-    return new, next_id
+    p = _hash_modulus(n)
+    key = np.zeros(n * n, dtype=np.uint64)
+    for mix in _MIX:
+        A, B = rng.integers(1, p, size=(2, r)).astype(np.float64)
+        key += (A[M] @ B[M]).ravel().astype(np.uint64) * mix
+    key <<= np.uint64(max(1, (r - 1).bit_length()))
+    key |= M.ravel().astype(np.uint64)
+    order = np.argsort(key)
+    change = np.empty(order.size, dtype=bool)
+    change[0] = True
+    sorted_key = key[order]
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    if starts.size == r:
+        return M, r
+    # new ids by first appearance in row-major order
+    first = np.minimum.reduceat(order, starts)
+    rank_of = np.empty(starts.size, dtype=np.int64)
+    rank_of[np.argsort(first)] = np.arange(starts.size)
+    new = np.empty(order.size, dtype=np.int64)
+    new[order] = rank_of[np.cumsum(change) - 1]
+    return new.reshape(n, n), int(starts.size)
+
+
+def _is_coherent(M):
+    """Exact check: every color has one transpose color, and all cells of
+    one color have equal multisets of composition pairs.
+
+    Cell (b, a) has the pairs of (a, b), swapped and transposed, so it
+    suffices to compare the cells of colors t < t' (t' the transpose of
+    t), the cells a <= b of symmetric colors, and the transpose of the
+    first cell of each symmetric color.  These are visited in color
+    order, in batches; each cell's sorted composition codes are compared
+    with those of the previous cell of its color.
+    """
+    n = M.shape[0]
+    if n == 0:
+        return True
+    r = int(M.max()) + 1
+    flat = M.ravel()
+    tau = np.zeros(r, dtype=np.int64)
+    tau[flat] = M.T.ravel()
+    if not np.array_equal(tau[M], M.T):
+        return False
+    colors, first = np.unique(flat, return_index=True)
+    a, b = np.divmod(first[tau[colors] == colors], n)
+    upper = np.triu(np.ones((n, n), dtype=bool)).ravel()
+    keep = (flat < tau[flat]) | ((flat == tau[flat]) & upper)
+    cells = np.concatenate([np.flatnonzero(keep), b * n + a])
+    cells = cells[np.argsort(flat[cells], kind="stable")]
+    dtype = np.int32 if r <= _INT32_MAX_RANK else np.int64
+    Mr = M.astype(dtype) * dtype(r)
+    MT = np.ascontiguousarray(M.T, dtype=dtype)
+    batch = max(1, _BATCH_BYTES // (n * np.dtype(dtype).itemsize))
+    last_color, last_row = -1, None
+    for start in range(0, cells.size, batch):
+        chunk = cells[start:start + batch]
+        rows, cols = np.divmod(chunk, n)
+        block = Mr[rows]
+        block += MT[cols]
+        block.sort(axis=1)
+        color = flat[chunk]
+        same = color[1:] == color[:-1]
+        if (same & (block[1:] != block[:-1]).any(axis=1)).any():
+            return False
+        if color[0] == last_color and not np.array_equal(block[0], last_row):
+            return False
+        last_color, last_row = color[-1], block[-1]
+    return True
 
 
 def stabilize(colors):
@@ -92,12 +149,13 @@ def stabilize(colors):
     if n == 0:
         return M
     r = int(M.max()) + 1
-    weights = _position_weights(n)
+    rng = np.random.default_rng(0x5EED)
     while r < n * n:
-        M2, r2 = _refine_round(M, r, weights)
-        if r2 == r:
+        M2, r2 = _hash_round(M, r, rng)
+        if r2 > r:
+            M, r = M2, r2
+        elif _is_coherent(M):
             break
-        M, r = M2, r2
     return M
 
 
@@ -148,13 +206,15 @@ def two_extension(cfg):
 def coherence_violations(colors, max_report=5):
     """Exact coherence check; returns violating (r, s, t) triples.
 
-    Compares, for every pair, the sorted vector of composition codes
-    against the representative of its color; any difference yields the
-    first differing code decoded as the (r, s) of a violated triple.
+    A coherent matrix is recognized by the exact certificate of
+    `stabilize`.  Otherwise every pair's sorted vector of composition
+    codes is compared against the representative of its color; any
+    difference yields the first differing code decoded as the (r, s) of
+    a violated triple.
     """
     M = np.asarray(colors, dtype=np.int64)
     n = M.shape[0]
-    if n == 0:
+    if _is_coherent(M):
         return []
     r = int(M.max()) + 1
     MT = np.ascontiguousarray(M.T)

@@ -31,6 +31,22 @@ def test_loads_rejects_malformed():
         loads("COHCFG v1\ndegree 2\nrank 2\n0 1\n1\n")
     with pytest.raises(FormatError):
         loads("COHCFG v1\ndegree two\nrank 2\n")
+    # content after the matrix rows; trailing blank lines are fine
+    assert loads("COHCFG v1\ndegree 2\nrank 2\n0 1\n1 0\n\n \n").rank == 2
+    with pytest.raises(FormatError):
+        loads("COHCFG v1\ndegree 2\nrank 2\n0 1\n1 0\n0 1\n")
+    with pytest.raises(FormatError):
+        loads("COHCFG v1\ndegree 2\nrank 2\n0 1\n1 0\n\nrank 3\n")
+    with pytest.raises(FormatError):
+        loads("COHCFG v1\ndegree 0\nrank 0\n0\n")
+
+
+def test_trailing_content_exits_2(tmp_path, capsys, hollmann8):
+    path = tmp_path / "extra.cohcfg"
+    path.write_text(dumps(hollmann8[0]) + "0 1 2\n")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert "after the 28 matrix rows" in err
 
 
 def test_build_and_analyze(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cohcfg import analysis, wl
 from cohcfg.cc import CoherentConfiguration
 from cohcfg.errors import ResourceLimitError, UsageError
 from cohcfg.perm import PermGroup
@@ -184,3 +185,212 @@ def test_stabilize_is_deterministic(hollmann8):
     a = stabilize(M)
     b = stabilize(M)
     assert np.array_equal(a, b)
+
+
+# Reference 2-WL: the exact round loop `stabilize` used before hashing,
+# frozen here as the oracle for raw ids.  Each round keys every cell by
+# (old color, sorted composition codes) and numbers new keys by first
+# appearance in row-major order; the loop stops at the first round that
+# splits no class and returns the matrix from before that round.
+
+def reference_stabilize(colors):
+    c = np.asarray(colors, dtype=np.int64)
+    n = c.shape[0]
+    r = int(c.max()) + 1 if c.size else 1
+    code = (c * r + c.T) * 2 + np.eye(n, dtype=np.int64)
+    M = np.unique(code, return_inverse=True)[1].reshape(n, n)
+    if n == 0:
+        return M
+    r = int(M.max()) + 1
+    while r < n * n:
+        new = np.empty((n, n), dtype=np.int64)
+        ids = {}
+        for a in range(n):
+            codes = M[a, None, :] * r + M.T
+            codes.sort(axis=1)
+            for b in range(n):
+                key = (int(M[a, b]), codes[b].tobytes())
+                new[a, b] = ids.setdefault(key, len(ids))
+        if len(ids) == r:
+            break
+        M, r = new, len(ids)
+    return M
+
+
+def first_appearance(M):
+    _, first, inv = np.unique(M.ravel(), return_index=True, return_inverse=True)
+    rank_of = np.empty(first.size, dtype=np.int64)
+    rank_of[np.argsort(first)] = np.arange(first.size)
+    return rank_of[inv].reshape(M.shape)
+
+
+def with_fixed_points(cfg, points):
+    M = cfg.colors.copy()
+    for i, p in enumerate(points):
+        M[p, p] = cfg.rank + i
+    return M
+
+
+def cayley_graph(connection):
+    """colors diagonal 0, non-edge 1, edge 2 of a Cayley graph on Z4 x Z4"""
+    pts = [(i, j) for i in range(4) for j in range(4)]
+    M = np.ones((16, 16), dtype=np.int64)
+    np.fill_diagonal(M, 0)
+    for x, (a, b) in enumerate(pts):
+        for y, (c, d) in enumerate(pts):
+            if ((c - a) % 4, (d - b) % 4) in connection:
+                M[x, y] = 2
+    return M
+
+
+SHRIKHANDE = cayley_graph({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+ROOK_4X4 = cayley_graph({(i, 0) for i in (1, 2, 3)} | {(0, i) for i in (1, 2, 3)})
+
+
+def record_stabilize(monkeypatch, module):
+    calls = []
+
+    def recorder(colors):
+        out = stabilize(colors)
+        calls.append((np.array(colors), out))
+        return out
+
+    monkeypatch.setattr(module, "stabilize", recorder)
+    return calls
+
+
+def test_raw_ids_match_reference_on_point_extensions(hollmann8, hollmann16,
+                                                     passman_schemes):
+    cfgs = [hollmann8[0], hollmann16[0], passman_schemes[9][0],
+            passman_schemes[13][0]]
+    for cfg in cfgs:
+        for points in ([0], [1, cfg.degree - 1]):
+            M = with_fixed_points(cfg, points)
+            assert np.array_equal(stabilize(M), reference_stabilize(M))
+
+
+def test_raw_ids_match_reference_on_two_extension(monkeypatch, passman_schemes):
+    calls = record_stabilize(monkeypatch, wl)
+    two_extension(passman_schemes[3][0])
+    ((init, out),) = calls
+    assert init.shape == (81, 81)
+    assert np.array_equal(out, reference_stabilize(init))
+
+
+def test_raw_ids_match_reference_on_doubled_search(monkeypatch, hollmann8,
+                                                   passman_schemes):
+    calls = record_stabilize(monkeypatch, analysis)
+    for cfg in (hollmann8[0], passman_schemes[5][0]):
+        search = analysis._DoubledSearch(cfg)
+        v = search.candidates(search.root, 0)[-1]
+        search._individualize(search.root, 0, v)
+    assert len(calls) == 4
+    for init, out in calls:
+        assert np.array_equal(out, reference_stabilize(init))
+
+
+def test_raw_ids_match_reference_on_wl_hard_inputs():
+    two_triangles = np.full((6, 6), 2)
+    for tri in ((0, 1, 2), (3, 4, 5)):
+        for i in tri:
+            for j in tri:
+                two_triangles[i, j] = 1
+    np.fill_diagonal(two_triangles, 0)
+    for M in (SHRIKHANDE, ROOK_4X4, cycle_partition(6), two_triangles):
+        fixed = M.copy()
+        fixed[0, 0] = 3
+        for X in (M, fixed):
+            assert np.array_equal(stabilize(X), reference_stabilize(X))
+    # 2-WL does not tell the two strongly regular graphs apart
+    shrikhande, rook = coherent_closure(SHRIKHANDE), coherent_closure(ROOK_4X4)
+    assert shrikhande.rank == rook.rank == 3
+    assert np.array_equal(shrikhande.tensor().values, rook.tensor().values)
+
+
+def test_stable_input_keeps_normalize_ids():
+    M = SHRIKHANDE
+    out = stabilize(M)
+    assert np.array_equal(out, wl._normalize(M))
+    assert np.array_equal(out, reference_stabilize(M))
+    # the normalize ids are not first-appearance ids, so the check has teeth
+    assert not np.array_equal(out, first_appearance(out))
+
+
+def test_rejected_certificate_redraws_hashes(monkeypatch, hollmann8):
+    real_round, real_certificate = wl._hash_round, wl._is_coherent
+    rounds, verdicts = [], []
+
+    def no_split_first(M, r, rng):
+        rounds.append(r)
+        if len(rounds) == 1:
+            return M, r
+        return real_round(M, r, rng)
+
+    def certificate(M):
+        verdicts.append(real_certificate(M))
+        return verdicts[-1]
+
+    monkeypatch.setattr(wl, "_hash_round", no_split_first)
+    monkeypatch.setattr(wl, "_is_coherent", certificate)
+    M = with_fixed_points(hollmann8[0], [0])
+    assert np.array_equal(stabilize(M), reference_stabilize(M))
+    assert verdicts[0] is False and verdicts[-1] is True
+    assert len(rounds) > 2
+
+
+def naive_is_coherent(M):
+    """transpose colors well defined and equal composition multisets per color"""
+    n = len(M)
+    transpose, signature = {}, {}
+    for a in range(n):
+        for b in range(n):
+            t = int(M[a, b])
+            if transpose.setdefault(t, int(M[b, a])) != M[b, a]:
+                return False
+            pairs = sorted((int(M[a, g]), int(M[g, b])) for g in range(n))
+            if signature.setdefault(t, pairs) != pairs:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("batch_bytes", [1, 200, wl._BATCH_BYTES])
+def test_coherence_kernel(monkeypatch, batch_bytes):
+    # 1 byte gives one cell per batch: every comparison crosses a batch
+    monkeypatch.setattr(wl, "_BATCH_BYTES", batch_bytes)
+    assert not wl._is_coherent(cycle_partition(6))
+    assert wl._is_coherent(stabilize(cycle_partition(6)))
+    assert wl._is_coherent(coherent_closure(cycle_partition(6)).colors)
+    # one symmetric color joining two fibers: only its transposed cell differs
+    assert not wl._is_coherent(np.array([[0, 2], [2, 1]]))
+    rng = np.random.default_rng(11)
+    tau = np.array([0, 1, 3, 2, 4])         # colors 2 and 3 are transposes
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        M = rng.integers(0, int(rng.integers(1, 5)), size=(n, n))
+        T = np.triu(rng.integers(2, 5, size=(n, n)), 1)
+        T = T + tau[T].T * (T.T > 0) + np.diag(rng.integers(0, 2, size=n))
+        for X in (M, T, stabilize(T), np.minimum(stabilize(T), 2)):
+            assert wl._is_coherent(X) == naive_is_coherent(X)
+
+
+class ConstantWeights:
+    def integers(self, low, high, size):
+        return np.ones(size, dtype=np.int64)
+
+
+def test_hash_round_never_merges_classes(hollmann8):
+    # constant weights hash every cell alike; the old colors must survive
+    M = wl._normalize(with_fixed_points(hollmann8[0], [0]))
+    r = int(M.max()) + 1
+    out, rank = wl._hash_round(M, r, ConstantWeights())
+    assert rank == r and np.array_equal(out, M)
+
+
+def test_hash_products_are_exact():
+    for n in (1, 2, 28, 240, 496, 900, 10 ** 6):
+        p = wl._hash_modulus(n)
+        assert p >= 2 and n * p * p < 2 ** 53
+    n = wl.TWO_EXTENSION_DEGREE_LIMIT ** 2
+    p = wl._hash_modulus(n)
+    W = np.full((n, n), float(p - 1))
+    assert ((W @ W) == n * (p - 1) ** 2).all()
