@@ -311,10 +311,11 @@ class _DoubledSearch:
 def _generic_automorphism_generators(cfg):
     """Generator search along the identity descent, deepest level first.
 
-    At level k the earlier branch points are fixed pointwise, so any
-    candidate image v of the branch point u that already lies in the
-    orbit of u under the generators found so far (restricted to the
-    stabilizer of the fixed prefix) is skipped; each remaining candidate
+    At level k the earlier branch points are fixed pointwise.  Every
+    generator found so far was found at a level >= k, so it fixes those
+    points too and the generators span a subgroup of their stabilizer:
+    a candidate image v of the branch point u that already lies in the
+    orbit of u under them is skipped.  Each remaining candidate
     contributes at most one new generator.
     """
     search = _DoubledSearch(cfg)
@@ -323,14 +324,11 @@ def _generic_automorphism_generators(cfg):
     gens = []
     for k in reversed(range(len(points))):
         U, u = states[k], points[k]
-        prefix = points[:k]
         for v in search.candidates(U, u):
             if v == u:
                 continue
-            if gens:
-                stab = PermGroup(n, gens).stabilizer_prefix(prefix)
-                if v in stab.orbit(u):
-                    continue
+            if gens and v in PermGroup(n, gens).orbit(u):
+                continue
             f = search.first_success(search._individualize(U, u, v))
             if f is not None:
                 gens.append(tuple(int(x) for x in f))

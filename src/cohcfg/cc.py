@@ -9,6 +9,7 @@ any two constructions of the same partition serialize identically.
 import numpy as np
 
 from .errors import UsageError, IntegrityError, ResourceLimitError, ColorActionError
+from .perm import PermGroup
 from .report import VerificationReport
 
 TENSOR_RANK_LIMIT = 256
@@ -45,16 +46,19 @@ def canonicalize_colors(colors):
     first_rows = first // n
     reflexive = np.zeros(r, dtype=bool)
     reflexive[M[np.arange(n), np.arange(n)]] = True
-    valency = np.zeros(r, dtype=np.int64)
-    for a in range(n):
-        row_classes, counts = np.unique(M[a], return_counts=True)
-        sel = first_rows[row_classes] == a
-        valency[row_classes[sel]] = counts[sel]
+    valency = _first_row_counts(M, first_rows)
     # lexsort uses the last key as primary: (reflexive first, valency, first cell)
     order = np.lexsort((first, valency, (~reflexive).astype(np.int64)))
     rank = np.empty(r, dtype=np.int64)
     rank[order] = np.arange(r)
     return rank[M]
+
+
+def _first_row_counts(M, first_rows):
+    """How often each class s occurs in row first_rows[s] of M, the first
+    row containing s; on a coherent M this is the valency of s."""
+    rows = np.arange(M.shape[0])[:, None]
+    return np.bincount(M[first_rows[M] == rows], minlength=len(first_rows))
 
 
 class CoherentConfiguration:
@@ -119,12 +123,7 @@ class CoherentConfiguration:
         """n_s for every color (out-degree within the source fiber)."""
         if self._valencies is None:
             fr, _ = self._first_cells()
-            v = np.zeros(self.rank, dtype=np.int64)
-            for a in range(self.degree):
-                row_classes, counts = np.unique(self.colors[a], return_counts=True)
-                sel = fr[row_classes] == a
-                v[row_classes[sel]] = counts[sel]
-            self._valencies = v
+            self._valencies = _first_row_counts(self.colors, fr)
         return self._valencies
 
     def transpose_map(self):
@@ -181,45 +180,42 @@ class CoherentConfiguration:
         """Exact intersection tensor c[t, r, s].
 
         Computed from one representative pair per color and re-verified
-        against extra representatives: every pair when the degree is at
-        most 100 or verify="full", else ceil(log2 n) seeded random pairs
-        per color.  A mismatch means the matrix was not coherent and
-        raises IntegrityError naming the triple.
+        by the composition kernel of `wl`: every pair when the degree is
+        at most 100 or verify="full", else ceil(log2 n) seeded random
+        pairs per color, each color's representative listed first.  A
+        mismatch means the matrix was not coherent and raises
+        IntegrityError naming the triple.
         """
         if self._tensor is not None and verify is None:
             return self._tensor
         if self.rank > TENSOR_RANK_LIMIT:
             raise ResourceLimitError(
                 f"tensor guard: rank {self.rank} > {TENSOR_RANK_LIMIT}")
+        from .wl import _composition_mismatches
         n, r = self.degree, self.rank
         M = self.colors
         fr, fc = self._first_cells()
         values = np.zeros((r, r, r), dtype=np.int32)
-        rep_sorted = []
         for t in range(r):
-            a, b = int(fr[t]), int(fc[t])
-            codes = M[a, :] * r + M[:, b]
-            rep_sorted.append(np.sort(codes))
-            values[t] = np.bincount(codes, minlength=r * r).reshape(r, r).astype(np.int32)
-        full = verify == "full" or (verify is None and n <= 100)
-        rng = np.random.default_rng(seed)
+            codes = M[fr[t], :] * r + M[:, fc[t]]
+            values[t] = np.bincount(codes, minlength=r * r).reshape(r, r)
         flat = M.ravel()
-        order = np.argsort(flat, kind="stable")
-        bounds = np.searchsorted(flat[order], np.arange(r + 1))
-        for t in range(r):
-            cells = order[bounds[t]:bounds[t + 1]]
-            if not full:
-                k = min(len(cells), max(1, int(np.ceil(np.log2(max(n, 2))))))
-                cells = rng.choice(cells, size=k, replace=False)
-            for cell in cells:
-                a, b = int(cell) // n, int(cell) % n
-                codes = np.sort(M[a, :] * r + M[:, b])
-                if not np.array_equal(codes, rep_sorted[t]):
-                    bad = _differing_code(codes, rep_sorted[t])
-                    triple = (int(bad) // r, int(bad) % r, t)
-                    raise IntegrityError(
-                        f"intersection number not constant on color {t}",
-                        triple=triple)
+        cells = np.argsort(flat, kind="stable")
+        if not (verify == "full" or (verify is None and n <= 100)):
+            rng = np.random.default_rng(seed)
+            k = max(1, int(np.ceil(np.log2(max(n, 2)))))
+            bounds = np.searchsorted(flat[cells], np.arange(r + 1))
+            listed = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                sample = rng.choice(cells[lo:hi], size=min(hi - lo, k), replace=False)
+                listed += [cells[lo:lo + 1], sample]
+            cells = np.concatenate(listed)
+        bad = next(_composition_mismatches(M, cells), None)
+        if bad is not None:
+            t, code = bad
+            raise IntegrityError(
+                f"intersection number not constant on color {t}",
+                triple=(code // r, code % r, t))
         tensor = IntersectionTensor(values, self.valencies().copy(), self.degree)
         if verify is None or self._tensor is None:
             self._tensor = tensor
@@ -280,12 +276,9 @@ class CoherentConfiguration:
 
     def regular_points(self):
         """Points seeing every color at most once."""
-        out = []
-        for a in range(self.degree):
-            _, counts = np.unique(self.colors[a], return_counts=True)
-            if counts.max() <= 1:
-                out.append(a)
-        return out
+        rows = np.sort(self.colors, axis=1)
+        repeats = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        return np.flatnonzero(~repeats).tolist()
 
     def is_partly_regular(self):
         pts = self.regular_points()
@@ -363,12 +356,6 @@ def values_sum_rr(values, transpose, s):
     return values[s][idx, transpose[idx]].sum()
 
 
-def _differing_code(sorted_a, sorted_b):
-    """First code whose multiplicity differs between two sorted arrays."""
-    i = np.flatnonzero(sorted_a != sorted_b)[0]
-    return sorted_a[i] if sorted_a[i] < sorted_b[i] else sorted_b[i]
-
-
 class IntersectionTensor:
     """Dense intersection numbers c[t, r, s] with the valency vector."""
 
@@ -440,7 +427,6 @@ def algebraic_fusion(cfg, phi_generators):
                 "fusion generator does not preserve the tensor; "
                 f"triple {tuple(int(x) for x in bad)}")
         gens.append(phi)
-    group = _perm_closure(gens, r)
     orbit_id = np.full(r, -1, dtype=np.int64)
     next_id = 0
     for c in range(r):
@@ -462,37 +448,21 @@ def algebraic_fusion(cfg, phi_generators):
     fr, fc = cfg._first_cells()
     for c in range(r):
         color_to_fused[c] = fused.colors[fr[c], fc[c]]
-    fmap = FusionMap(tuple(int(x) for x in color_to_fused), [tuple(g) for g in group])
+    fmap = FusionMap(tuple(int(x) for x in color_to_fused), gens)
     return fused, fmap
-
-
-def _perm_closure(gens, r):
-    """All products of the generators, as tuples (small groups only)."""
-    ident = tuple(range(r))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(g[i] for i in p)
-                if q not in seen:
-                    seen.add(q)
-                    new.append(q)
-        frontier = new
-    return sorted(seen)
 
 
 class FusionMap:
     """Color partition induced by a group of algebraic automorphisms."""
 
-    def __init__(self, color_to_fused, phi_group):
+    def __init__(self, color_to_fused, generators):
         self.color_to_fused = color_to_fused
-        self.phi_group = phi_group
+        self.generators = generators
 
     @property
     def order(self):
-        return len(self.phi_group)
+        """Order of the color group the generators span."""
+        return PermGroup(len(self.color_to_fused), self.generators).order()
 
 
 def induced_color_action(cfg, g):

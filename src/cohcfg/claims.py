@@ -34,7 +34,7 @@ def _cached(key, build):
 
 
 def large_scheme(q):
-    return _cached(("large", q), lambda: hollmann_large(q))
+    return hollmann_large(q)
 
 
 def small_scheme(q):
@@ -434,8 +434,9 @@ def _fusion_bound(family="small", seed=0, trials=1000):
     else:
         raise UsageError("family must be 'small' or 'passman'")
     fused, fmap = algebraic_fusion(base, gens)
-    phi_sq = fmap.order ** 2
-    rep.witnesses["phi_order"] = fmap.order
+    phi_order = fmap.order
+    phi_sq = phi_order ** 2
+    rep.witnesses["phi_order"] = phi_order
     base_tensor = base.tensor().values
     fused_tensor = fused.tensor().values
     into = np.asarray(fmap.color_to_fused)

@@ -12,6 +12,8 @@ All point indexings are canonical in the field element codes, so the
 emitted color matrices are bit-exact across runs.
 """
 
+import functools
+
 import numpy as np
 
 from .cc import CoherentConfiguration, algebraic_fusion, induced_color_action
@@ -84,11 +86,13 @@ class ExteriorPairPoints:
         return self.permutation_from_map(self.ext.frob2)
 
 
+@functools.cache
 def hollmann_large(q):
     """Orbital scheme of the fractional-linear action on exterior pairs.
 
     Degree q(q-1)/2, rank q/2, symmetric, pseudocyclic of valency q+1;
-    these are asserted on the constructed scheme.
+    these are asserted on the constructed scheme.  Built once per q and
+    shared by every caller, `hollmann_small` included.
     """
     points = ExteriorPairPoints(q)
     group = PermGroup(len(points), points.moebius_generators())

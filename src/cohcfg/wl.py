@@ -18,6 +18,10 @@ in two phases.
    transposed pair suffices).  If two differ, fresh weights are drawn
    and phase 1 resumes.
 
+The comparison of sorted composition codes is one batched kernel,
+`_composition_mismatches`; `coherence_violations` and the tensor
+re-verification of `CoherentConfiguration` use it too.
+
 Equal multisets hash equal, so every hash round is no finer than the
 exact round; by induction the hash partition is never finer than the
 exact WL partition.  A certified partition is coherent and refines the
@@ -95,32 +99,21 @@ def _hash_round(M, r, rng):
     return new.reshape(n, n), int(starts.size)
 
 
-def _is_coherent(M):
-    """Exact check: every color has one transpose color, and all cells of
-    one color have equal multisets of composition pairs.
+def _composition_mismatches(M, cells):
+    """Yield (t, code) for every listed cell whose sorted composition codes
+    c(a, g) * r + c(g, b) differ from those of the previous listed cell of
+    its color t.
 
-    Cell (b, a) has the pairs of (a, b), swapped and transposed, so it
-    suffices to compare the cells of colors t < t' (t' the transpose of
-    t), the cells a <= b of symmetric colors, and the transpose of the
-    first cell of each symmetric color.  These are visited in color
-    order, in batches; each cell's sorted composition codes are compared
-    with those of the previous cell of its color.
+    ``cells`` are flat cell indices grouped by color; they are processed
+    in batches, carrying the last row of each batch into the next.  The
+    first position where two sorted code rows differ holds, as the
+    smaller of the two values there, a code whose multiplicity differs
+    between the rows: ``divmod(code, r)`` is a pair (r', s') with the
+    intersection number of (r', s', t) not constant.
     """
     n = M.shape[0]
-    if n == 0:
-        return True
     r = int(M.max()) + 1
     flat = M.ravel()
-    tau = np.zeros(r, dtype=np.int64)
-    tau[flat] = M.T.ravel()
-    if not np.array_equal(tau[M], M.T):
-        return False
-    colors, first = np.unique(flat, return_index=True)
-    a, b = np.divmod(first[tau[colors] == colors], n)
-    upper = np.triu(np.ones((n, n), dtype=bool)).ravel()
-    keep = (flat < tau[flat]) | ((flat == tau[flat]) & upper)
-    cells = np.concatenate([np.flatnonzero(keep), b * n + a])
-    cells = cells[np.argsort(flat[cells], kind="stable")]
     dtype = np.int32 if r <= _INT32_MAX_RANK else np.int64
     Mr = M.astype(dtype) * dtype(r)
     MT = np.ascontiguousarray(M.T, dtype=dtype)
@@ -133,13 +126,44 @@ def _is_coherent(M):
         block += MT[cols]
         block.sort(axis=1)
         color = flat[chunk]
-        same = color[1:] == color[:-1]
-        if (same & (block[1:] != block[:-1]).any(axis=1)).any():
-            return False
         if color[0] == last_color and not np.array_equal(block[0], last_row):
-            return False
+            yield int(color[0]), _first_difference(last_row, block[0])
+        same = color[1:] == color[:-1]
+        for i in np.flatnonzero(same & (block[1:] != block[:-1]).any(axis=1)):
+            yield int(color[i + 1]), _first_difference(block[i], block[i + 1])
         last_color, last_row = color[-1], block[-1]
-    return True
+
+
+def _first_difference(x, y):
+    i = np.argmax(x != y)
+    return int(min(x[i], y[i]))
+
+
+def _is_coherent(M):
+    """Exact check: every color has one transpose color, and all cells of
+    one color have equal multisets of composition pairs.
+
+    Cell (b, a) has the pairs of (a, b), swapped and transposed, so it
+    suffices to compare the cells of colors t < t' (t' the transpose of
+    t), the cells a <= b of symmetric colors, and the transpose of the
+    first cell of each symmetric color.  These go to the composition
+    kernel in color order.
+    """
+    n = M.shape[0]
+    if n == 0:
+        return True
+    flat = M.ravel()
+    tau = np.zeros(int(M.max()) + 1, dtype=np.int64)
+    tau[flat] = M.T.ravel()
+    if not np.array_equal(tau[M], M.T):
+        return False
+    colors, first = np.unique(flat, return_index=True)
+    a, b = np.divmod(first[tau[colors] == colors], n)
+    upper = np.triu(np.ones((n, n), dtype=bool)).ravel()
+    keep = (flat < tau[flat]) | ((flat == tau[flat]) & upper)
+    cells = np.concatenate([np.flatnonzero(keep), b * n + a])
+    cells = cells[np.argsort(flat[cells], kind="stable")]
+    return next(_composition_mismatches(M, cells), None) is None
 
 
 def stabilize(colors):
@@ -207,34 +231,21 @@ def coherence_violations(colors, max_report=5):
     """Exact coherence check; returns violating (r, s, t) triples.
 
     A coherent matrix is recognized by the exact certificate of
-    `stabilize`.  Otherwise every pair's sorted vector of composition
-    codes is compared against the representative of its color; any
-    difference yields the first differing code decoded as the (r, s) of
-    a violated triple.
+    `stabilize`.  Otherwise every cell, in color order, goes to the
+    composition kernel, which names a violated triple for each cell
+    whose codes differ from the previous cell of its color; up to
+    ``max_report`` distinct triples are returned.
     """
     M = np.asarray(colors, dtype=np.int64)
-    n = M.shape[0]
     if _is_coherent(M):
         return []
     r = int(M.max()) + 1
-    MT = np.ascontiguousarray(M.T)
-    reps = {}
     violations = []
-    for a in range(n):
-        codes = M[a, None, :] * r + MT
-        codes.sort(axis=1)
-        for b in range(n):
-            t = int(M[a, b])
-            rep = reps.get(t)
-            if rep is None:
-                reps[t] = codes[b].copy()
-                continue
-            if not np.array_equal(rep, codes[b]):
-                diff = np.flatnonzero(rep != codes[b])[0]
-                code = int(min(rep[diff], codes[b][diff]))
-                triple = (code // r, code % r, t)
-                if triple not in violations:
-                    violations.append(triple)
-                if len(violations) >= max_report:
-                    return violations
+    cells = np.argsort(M.ravel(), kind="stable")
+    for t, code in _composition_mismatches(M, cells):
+        triple = (code // r, code % r, t)
+        if triple not in violations:
+            violations.append(triple)
+            if len(violations) >= max_report:
+                break
     return violations

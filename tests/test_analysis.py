@@ -250,3 +250,19 @@ def test_claim_passman_m_values_recorded(passman_schemes):
 
 def test_claim_fusion_bound():
     assert verify_claim("411958b", family="passman", trials=200).passed
+
+
+def test_aut_search_builds_at_most_one_stabilizer_chain(monkeypatch, hollmann16):
+    # the generators found so far fix the branch prefix pointwise, so the
+    # orbit pruning needs their orbits only, not a stabilizer chain
+    builds = []
+    build_chain = PermGroup._build_chain
+
+    def counted(group):
+        builds.append(group.degree)
+        return build_chain(group)
+
+    monkeypatch.setattr(PermGroup, "_build_chain", counted)
+    aut = automorphism_group(hollmann16[0])
+    assert len(builds) <= 1
+    assert aut.order == 16 * 255

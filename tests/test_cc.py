@@ -341,6 +341,43 @@ def test_canonical_ids_reflexive_first_then_valency():
     assert v[0] == 1 and list(v[1:]) == sorted(v[1:])
 
 
+def loop_valencies(M, first_rows):
+    """count of s in the first row containing s, one row at a time"""
+    valency = np.zeros(len(first_rows), dtype=np.int64)
+    for a in range(M.shape[0]):
+        row_classes, counts = np.unique(M[a], return_counts=True)
+        sel = first_rows[row_classes] == a
+        valency[row_classes[sel]] = counts[sel]
+    return valency
+
+
+def loop_canonicalize(colors):
+    n = colors.shape[0]
+    _, first, inv = np.unique(colors, return_index=True, return_inverse=True)
+    M = inv.reshape(n, n)
+    reflexive = np.zeros(len(first), dtype=bool)
+    reflexive[M.diagonal()] = True
+    valency = loop_valencies(M, first // n)
+    order = np.lexsort((first, valency, (~reflexive).astype(np.int64)))
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    return rank[M]
+
+
+def test_vectorized_row_counts_match_row_loops():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        colors = rng.integers(0, int(rng.integers(1, 2 * n + 2)), size=(n, n))
+        canonical = canonicalize_colors(colors)
+        assert np.array_equal(canonical, loop_canonicalize(colors))
+        cfg = CoherentConfiguration(canonical, canonical=True)
+        fr, _ = cfg._first_cells()
+        assert np.array_equal(cfg.valencies(), loop_valencies(cfg.colors, fr))
+        assert cfg.regular_points() == [
+            a for a in range(n) if len(set(colors[a].tolist())) == n]
+
+
 def test_tensor_rank_guard():
     big = PermGroup(17, []).orbitals()   # rank 289 exceeds the dense guard
     with pytest.raises(ResourceLimitError):

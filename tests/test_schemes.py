@@ -171,3 +171,17 @@ def test_trace_labeling(hollmann8, hollmann16, hollmann32):
 def test_trace_labeling_guard():
     with pytest.raises(UsageError):
         trace_label_check(64)
+
+
+def test_hollmann_small_reuses_the_large_scheme(monkeypatch):
+    hollmann_large(8)
+    painted = []
+    orbitals = PermGroup.orbitals
+
+    def counted(group):
+        painted.append(group.degree)
+        return orbitals(group)
+
+    monkeypatch.setattr(PermGroup, "orbitals", counted)
+    hollmann_small(8)
+    assert painted == [28]

@@ -3,12 +3,13 @@ import pytest
 
 from cohcfg import analysis, wl
 from cohcfg.cc import CoherentConfiguration
-from cohcfg.errors import ResourceLimitError, UsageError
+from cohcfg.errors import IntegrityError, ResourceLimitError, UsageError
 from cohcfg.perm import PermGroup
 from cohcfg.wl import (coherence_violations, coherent_closure, extend_points,
                        stabilize, two_extension)
 
-from test_cc import cycle_partition, thin_scheme, trivial_scheme
+from test_cc import (brute_force_triple_counts, cycle_partition, thin_scheme,
+                     trivial_scheme)
 
 
 def dihedral(n):
@@ -353,6 +354,10 @@ def naive_is_coherent(M):
     return True
 
 
+def transposes_defined(M):
+    return all(len(set(M.T[M == t].tolist())) == 1 for t in np.unique(M))
+
+
 @pytest.mark.parametrize("batch_bytes", [1, 200, wl._BATCH_BYTES])
 def test_coherence_kernel(monkeypatch, batch_bytes):
     # 1 byte gives one cell per batch: every comparison crosses a batch
@@ -370,7 +375,22 @@ def test_coherence_kernel(monkeypatch, batch_bytes):
         T = np.triu(rng.integers(2, 5, size=(n, n)), 1)
         T = T + tau[T].T * (T.T > 0) + np.diag(rng.integers(0, 2, size=n))
         for X in (M, T, stabilize(T), np.minimum(stabilize(T), 2)):
-            assert wl._is_coherent(X) == naive_is_coherent(X)
+            coherent = naive_is_coherent(X)
+            assert wl._is_coherent(X) == coherent
+            if not transposes_defined(X):
+                continue
+            # the reporter and the tensor re-verification use the same kernel
+            bad = coherence_violations(X)
+            assert (bad == []) == coherent
+            for r, s, t in bad:
+                assert len(brute_force_triple_counts(X, r, s, t)) > 1
+            cfg = CoherentConfiguration(X)
+            if coherent:
+                cfg.tensor(verify="full")
+                continue
+            with pytest.raises(IntegrityError) as err:
+                cfg.tensor(verify="full")
+            assert len(brute_force_triple_counts(cfg.colors, *err.value.triple)) > 1
 
 
 class ConstantWeights:
