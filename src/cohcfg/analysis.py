@@ -11,6 +11,19 @@ between the two within-copy blocks and between the two cross blocks;
 an imbalance prunes the branch, and a fully matched diagonal forces f,
 which is then verified cell by cell.  Individualization order branches
 on the largest unmatched diagonal class, candidates in point order.
+
+Search nodes stabilize without the exact coherence certificate
+(``stabilize(..., certify=False)``).  As in the individualization-
+refinement framework of McKay and Piperno, "Practical graph isomorphism,
+II" (J. Symb. Comput. 60, 2014), the refinement only has to be
+isomorphism-invariant, and it is: `_normalize` and every hash round
+compute a cell's new class from color ids alone, with one set of
+weights for all cells, so a permutation of the double that preserves
+the input colors maps each hash class onto itself, even a class that a
+hash collision left coarser than the closure.  The balance pruning and
+the candidate lists are therefore sound on the uncertified partition;
+a collision can only make the search visit more nodes, and every leaf
+bijection is still verified cell by cell.
 """
 
 import time
@@ -44,10 +57,6 @@ class MatchingGraph:
     @property
     def edge_count(self):
         return int(self.adjacency.sum()) // 2
-
-    def neighbors(self, x):
-        i = self.vertices.index(x)
-        return [self.vertices[j] for j in np.flatnonzero(self.adjacency[i])]
 
 
 def matching_graph(d):
@@ -202,7 +211,7 @@ class _DoubledSearch:
         U = np.full((2 * n, 2 * n), r, dtype=np.int64)
         U[:n, :n] = M
         U[n:, n:] = M2
-        self.root = stabilize(U)
+        self.root = stabilize(U, certify=False)
 
     def _balanced(self, U):
         n = self.n
@@ -252,7 +261,7 @@ class _DoubledSearch:
         c = int(W.max()) + 1
         W[u, u] = c
         W[n + v, n + v] = c
-        return stabilize(W)
+        return stabilize(W, certify=False)
 
     def candidates(self, U, u):
         n = self.n
@@ -316,7 +325,8 @@ def _generic_automorphism_generators(cfg):
     points too and the generators span a subgroup of their stabilizer:
     a candidate image v of the branch point u that already lies in the
     orbit of u under them is skipped.  Each remaining candidate
-    contributes at most one new generator.
+    contributes at most one new generator.  The orbit is computed once
+    per level and again after each new generator.
     """
     search = _DoubledSearch(cfg)
     states, points = search.identity_path()
@@ -324,14 +334,14 @@ def _generic_automorphism_generators(cfg):
     gens = []
     for k in reversed(range(len(points))):
         U, u = states[k], points[k]
+        orbit = set(PermGroup(n, gens).orbit(u))
         for v in search.candidates(U, u):
-            if v == u:
-                continue
-            if gens and v in PermGroup(n, gens).orbit(u):
+            if v in orbit:
                 continue
             f = search.first_success(search._individualize(U, u, v))
             if f is not None:
                 gens.append(tuple(int(x) for x in f))
+                orbit = set(PermGroup(n, gens).orbit(u))
     return gens
 
 

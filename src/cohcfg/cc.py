@@ -100,11 +100,6 @@ class CoherentConfiguration:
         fr, fc = self._first_cells()
         return int(fr[s]), int(fc[s])
 
-    @property
-    def fiber_of_point(self):
-        """Fiber index per point; fibers are indexed by their diagonal color."""
-        return self.colors.diagonal()
-
     def reflexive_colors(self):
         return sorted(set(self.colors.diagonal().tolist()))
 

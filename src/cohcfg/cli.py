@@ -202,7 +202,8 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing, unreadable or unwritable path, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

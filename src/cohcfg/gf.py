@@ -375,9 +375,6 @@ class QuadExtension:
         a, b = ab
         return a + self.q * b
 
-    def decode(self, code):
-        return (code % self.q, code // self.q)
-
     def add(self, u, v):
         F = self.base
         return (F.add(u[0], v[0]), F.add(u[1], v[1]))
@@ -422,10 +419,6 @@ class QuadExtension:
     def scalar_mul(self, c, u):
         F = self.base
         return (F.mul(c, u[0]), F.mul(c, u[1]))
-
-    def is_exterior(self, u):
-        """True when u lies outside the base field."""
-        return u[1] != 0
 
     def elements(self):
         return ((a, b) for b in range(self.q) for a in range(self.q))

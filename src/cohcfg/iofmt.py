@@ -71,5 +71,10 @@ def write_file(cfg, path):
 
 
 def read_file(path):
-    with open(path) as fh:
-        return loads(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from exc
+    return loads(text)

@@ -54,10 +54,6 @@ def perm_order(p):
     return order
 
 
-def fixed_points(p):
-    return [i for i, j in enumerate(p) if i == j]
-
-
 def _orbit_transversal(point, gens, degree):
     """Breadth-first transversal {gamma: perm with perm[point] == gamma}."""
     trans = {point: identity(degree)}
@@ -223,7 +219,17 @@ class PermGroup:
         return self.stabilizer_prefix((alpha,))
 
     def orbit(self, point):
-        return sorted(_orbit_transversal(point, self.generators, self.degree))
+        """Sorted orbit of one point, closed under the generator images."""
+        seen = {point}
+        todo = [point]
+        while todo:
+            gamma = todo.pop()
+            for g in self.generators:
+                delta = g[gamma]
+                if delta not in seen:
+                    seen.add(delta)
+                    todo.append(delta)
+        return sorted(seen)
 
     def orbit_of_pair(self, pair):
         """BFS closure of one ordered pair under the generator images."""

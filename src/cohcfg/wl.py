@@ -16,7 +16,8 @@ in two phases.
    cell's sorted composition codes c(a, g) * r + c(g, b) are compared
    with those of the previous cell of the same color (one cell of each
    transposed pair suffices).  If two differ, fresh weights are drawn
-   and phase 1 resumes.
+   and phase 1 resumes.  The automorphism search skips this phase
+   (``certify=False``): it needs invariant partitions, not closures.
 
 The comparison of sorted composition codes is one batched kernel,
 `_composition_mismatches`; `coherence_violations` and the tensor
@@ -166,8 +167,15 @@ def _is_coherent(M):
     return next(_composition_mismatches(M, cells), None) is None
 
 
-def stabilize(colors):
-    """Raw stable matrix of the coherent closure of the given partition."""
+def stabilize(colors, *, certify=True):
+    """Raw stable matrix of the coherent closure of the given partition.
+
+    With ``certify=False`` the exact certificate is skipped and the first
+    hash-stable matrix is returned.  Its partition refines the input, is
+    no finer than the closure and equals it unless a hash collided; it
+    depends on color ids only, so every bijection of the points that
+    preserves the input colors preserves each of its classes.
+    """
     M = _normalize(colors)
     n = M.shape[0]
     if n == 0:
@@ -178,7 +186,7 @@ def stabilize(colors):
         M2, r2 = _hash_round(M, r, rng)
         if r2 > r:
             M, r = M2, r2
-        elif _is_coherent(M):
+        elif not certify or _is_coherent(M):
             break
     return M
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cohcfg import analysis, wl
 from cohcfg.analysis import (automorphism_group, automorphism_count_oracle,
                              base_number, check_bound_201444a,
                              check_cor_423939b, find_inducing_bijection,
@@ -12,7 +13,7 @@ from cohcfg.perm import PermGroup
 from cohcfg.wl import extend_points
 
 from test_cc import thin_scheme, trivial_scheme
-from test_wl import dihedral
+from test_wl import dihedral, record_stabilize
 
 
 def test_matching_graph_d3_is_edgeless():
@@ -266,3 +267,38 @@ def test_aut_search_builds_at_most_one_stabilizer_chain(monkeypatch, hollmann16)
     aut = automorphism_group(hollmann16[0])
     assert len(builds) <= 1
     assert aut.order == 16 * 255
+
+
+def test_search_needs_no_coherence_certificate(monkeypatch, hollmann8,
+                                               hollmann16):
+    # search states only have to be invariant; leaves are verified cell
+    # by cell, so the exact certificate never runs below the search
+    cfg8 = hollmann8[0]
+    phi = algebraic_automorphisms(cfg8)[-1]
+    assert phi != tuple(range(cfg8.rank))
+
+    def no_certificate(M):
+        raise AssertionError("the search ran the coherence certificate")
+
+    monkeypatch.setattr(wl, "_is_coherent", no_certificate)
+    assert automorphism_group(hollmann16[0]).order == 16 * 255
+    assert automorphism_count_oracle(cfg8) == 504
+    f = np.asarray(find_inducing_bijection(cfg8, phi))
+    assert np.array_equal(cfg8.colors[np.ix_(f, f)], np.asarray(phi)[cfg8.colors])
+
+
+def test_search_answers_survive_hash_collisions(monkeypatch, hollmann8,
+                                                hollmann16, passman_schemes):
+    cfgs = [passman_schemes[3][0], passman_schemes[5][0], hollmann8[0],
+            hollmann16[0]]
+    # one hash with weights 1 and 2 collides often
+    monkeypatch.setattr(wl, "_MIX", wl._MIX[:1])
+    monkeypatch.setattr(wl, "_hash_modulus", lambda n: 3)
+    calls = record_stabilize(monkeypatch, analysis)
+    # the orders and the oracle count without collisions
+    assert [automorphism_group(cfg).order for cfg in cfgs] == [72, 400, 504, 4080]
+    assert automorphism_count_oracle(cfgs[0]) == 72
+    monkeypatch.undo()
+    # the collisions were real: some search states were coarser than
+    # the closure of their input
+    assert any(out.max() < wl.stabilize(init).max() for init, out in calls)

@@ -188,6 +188,22 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+def test_directory_argument_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "analyze", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.cohcfg"
+    path.write_bytes(b"COHCFG v1\ndegree 1\nrank 1\n\xff\n")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "UTF-8" in err
+    with pytest.raises(FormatError):
+        read_file(path)
+
+
 def test_seed_flag_accepted(tmp_path, capsys, hollmann8):
     cfg, _ = hollmann8
     path = tmp_path / "h8.cohcfg"

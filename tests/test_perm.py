@@ -81,6 +81,18 @@ def test_orbit_of_pair():
     assert len(G.orbit_of_pair((0, 1))) == 28 * 9
 
 
+def test_orbits_match_the_group_closure():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 8))
+        gens = [tuple(int(x) for x in rng.permutation(n))
+                for _ in range(int(rng.integers(0, 3)))]
+        elements = brute_force_closure(gens, n)
+        G = PermGroup(n, gens)
+        for p in range(n):
+            assert G.orbit(p) == sorted({g[p] for g in elements})
+
+
 def test_orbit_stabilizer_identity_spot_checks():
     rng = np.random.default_rng(0)
     pts = ExteriorPairPoints(8)

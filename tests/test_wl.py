@@ -251,8 +251,8 @@ ROOK_4X4 = cayley_graph({(i, 0) for i in (1, 2, 3)} | {(0, i) for i in (1, 2, 3)
 def record_stabilize(monkeypatch, module):
     calls = []
 
-    def recorder(colors):
-        out = stabilize(colors)
+    def recorder(colors, **kwargs):
+        out = stabilize(colors, **kwargs)
         calls.append((np.array(colors), out))
         return out
 
