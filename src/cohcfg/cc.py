@@ -207,10 +207,9 @@ class CoherentConfiguration:
             cells = np.concatenate(listed)
         bad = next(_composition_mismatches(M, cells), None)
         if bad is not None:
-            t, code = bad
             raise IntegrityError(
-                f"intersection number not constant on color {t}",
-                triple=(code // r, code % r, t))
+                f"intersection number not constant on color {bad[2]}",
+                triple=bad)
         tensor = IntersectionTensor(values, self.valencies().copy(), self.degree)
         if verify is None or self._tensor is None:
             self._tensor = tensor

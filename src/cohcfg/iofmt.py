@@ -20,7 +20,7 @@ MAGIC = "COHCFG v1"
 def dumps(cfg):
     lines = [MAGIC, f"degree {cfg.degree}", f"rank {cfg.rank}"]
     for row in cfg.colors:
-        lines.append(" ".join(str(int(x)) for x in row))
+        lines.append(" ".join(map(str, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -43,8 +43,8 @@ def loads(text):
         if len(parts) != degree:
             raise FormatError(f"row {i} has {len(parts)} entries, expected {degree}")
         try:
-            rows.append([int(p) for p in parts])
-        except ValueError as exc:
+            rows.append(np.array(parts, dtype=np.int64))
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"row {i}: {exc}") from exc
     if any(ln.strip() for ln in lines[3 + degree:]):
         raise FormatError(f"unexpected content after the {degree} matrix rows")

@@ -13,15 +13,21 @@ in two phases.
    first appearance in row-major order.  Rounds repeat until the rank
    stops growing.
 2. Exact certificate.  The cells are visited in color order; each
-   cell's sorted composition codes c(a, g) * r + c(g, b) are compared
-   with those of the previous cell of the same color (one cell of each
-   transposed pair suffices).  If two differ, fresh weights are drawn
-   and phase 1 resumes.  The automorphism search skips this phase
+   cell's sorted composition codes are compared with those of the
+   previous cell of the same color (one cell of each transposed pair
+   suffices).  If two differ, fresh weights are drawn and phase 1
+   resumes.  The automorphism search skips this phase
    (``certify=False``): it needs invariant partitions, not closures.
 
 The comparison of sorted composition codes is one batched kernel,
 `_composition_mismatches`; `coherence_violations` and the tensor
-re-verification of `CoherentConfiguration` use it too.
+re-verification of `CoherentConfiguration` use it too.  Two cells are
+only compared within one color, and all cells of a color lie in one
+fiber pair X x Y, so the code of (c(a, g), c(g, b)) numbers the pair
+within the fiber Z of g (`_code_tables`): its range is the sum over Z
+of the most colors in any X x Z times the most in any Z x Y, not r**2.
+The codes of the 496-point extensions fit 16 bits where c * r + c'
+needs 32 or 64; the narrowest integer type that holds them is sorted.
 
 Equal multisets hash equal, so every hash round is no finer than the
 exact round; by induction the hash partition is never finer than the
@@ -40,7 +46,9 @@ from .errors import ResourceLimitError, UsageError
 
 TWO_EXTENSION_DEGREE_LIMIT = 30
 
-_INT32_MAX_RANK = 46340  # r*r stays below 2^31
+# code space sizes up to which the narrower integer types hold every code
+_UINT16_CODES = 1 << 16
+_INT32_CODES = 1 << 31
 # odd multipliers that fold the three hashes into one 64-bit key
 _MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F),
         np.uint64(0x165667B19E3779F9))
@@ -100,38 +108,90 @@ def _hash_round(M, r, rng):
     return new.reshape(n, n), int(starts.size)
 
 
-def _composition_mismatches(M, cells):
-    """Yield (t, code) for every listed cell whose sorted composition codes
-    c(a, g) * r + c(g, b) differ from those of the previous listed cell of
-    its color t.
+def _code_tables(M):
+    """Fiber-local composition codes: (R, C, decode).
 
-    ``cells`` are flat cell indices grouped by color; they are processed
-    in batches, carrying the last row of each batch into the next.  The
-    first position where two sorted code rows differ holds, as the
-    smaller of the two values there, a code whose multiplicity differs
-    between the rows: ``divmod(code, r)`` is a pair (r', s') with the
-    intersection number of (r', s', t) not constant.
+    The fibers are the diagonal color classes.  For a point g in fiber Z
+    the code of (c(a, g), c(g, b)) is base[Z] + i * K[Z] + j, with i the
+    index of c(a, g) among the colors of X x Z, j that of c(g, b) among
+    the colors of Z x Y, K[Z] the most colors in any Z x Y, and base[Z]
+    the sum of max_X |X x Z'| * K[Z'] over the fibers Z' before Z.
+    R[a] + C[b] lists the codes of cell (a, b) over all g; within one
+    fiber pair X x Y, hence within one color, they are injective, and
+    ``decode(t, code)`` returns the pair (r', s') for a cell of color t.
+    If a diagonal color lies off the diagonal or a color leaves its
+    fiber pair, all points form one fiber and the codes are c * r + c'.
+    The tables use the narrowest integer type that holds every code.
     """
     n = M.shape[0]
     r = int(M.max()) + 1
+    diag = np.diagonal(M)
+    on_diag = np.zeros(r, dtype=bool)
+    on_diag[diag] = True
+    f = int(np.count_nonzero(on_diag))
+    pair = np.zeros(r, dtype=np.int32)      # fiber pair X * f + Y of a color
+    if f > 1:
+        fiber = np.cumsum(on_diag, dtype=np.int32)[diag] - 1
+        pair[M] = fiber[:, None] * f + fiber
+        if not (np.count_nonzero(on_diag[M]) == n
+                and np.array_equal(pair[M], fiber[:, None] * f + fiber)):
+            pair[:] = 0
+            f = 1
+    by_pair = np.argsort(pair, kind="stable")
+    count = np.bincount(pair, minlength=f * f)
+    start = np.cumsum(count) - count
+    index = np.empty(r, dtype=np.int64)
+    index[by_pair] = np.arange(r) - start[pair[by_pair]]
+    count = count.reshape(f, f)
+    K = count.max(axis=1)
+    base = np.concatenate([[0], np.cumsum(count.max(axis=0) * K)])
+    size = int(base[-1])
+    dtype = (np.uint16 if size <= _UINT16_CODES else
+             np.int32 if size <= _INT32_CODES else np.int64)
+    mid = pair % f                          # fiber Z of g for c(a, g)
+    R = (base[mid] + index * K[mid]).astype(dtype)[M]
+    C = np.ascontiguousarray(index.astype(dtype)[M.T])
+
+    def decode(t, code):
+        X, Y = divmod(int(pair[t]), f)
+        Z = int(np.searchsorted(base, code, side="right")) - 1
+        i, j = divmod(code - int(base[Z]), int(K[Z]))
+        return int(by_pair[start[X * f + Z] + i]), int(by_pair[start[Z * f + Y] + j])
+
+    return R, C, decode
+
+
+def _composition_mismatches(M, cells):
+    """Yield (r', s', t) for every listed cell whose sorted composition
+    codes differ from those of the previous listed cell of its color t:
+    the intersection number of (r', s', t) is then not constant.
+
+    ``cells`` are flat cell indices grouped by color; they are processed
+    in batches of rows R[a] + C[b] of `_code_tables`, carrying the last
+    row of each batch into the next.  The first position where two
+    sorted code rows differ holds, as the smaller of the two values
+    there, a code whose multiplicity differs between the rows; the codes
+    of one color are injective, so decoding it names (r', s').
+    """
+    n = M.shape[0]
+    R, C, decode = _code_tables(M)
     flat = M.ravel()
-    dtype = np.int32 if r <= _INT32_MAX_RANK else np.int64
-    Mr = M.astype(dtype) * dtype(r)
-    MT = np.ascontiguousarray(M.T, dtype=dtype)
-    batch = max(1, _BATCH_BYTES // (n * np.dtype(dtype).itemsize))
+    batch = max(1, _BATCH_BYTES // (n * R.itemsize))
     last_color, last_row = -1, None
     for start in range(0, cells.size, batch):
         chunk = cells[start:start + batch]
         rows, cols = np.divmod(chunk, n)
-        block = Mr[rows]
-        block += MT[cols]
+        block = R[rows]
+        block += C[cols]
         block.sort(axis=1)
         color = flat[chunk]
         if color[0] == last_color and not np.array_equal(block[0], last_row):
-            yield int(color[0]), _first_difference(last_row, block[0])
+            t = int(color[0])
+            yield *decode(t, _first_difference(last_row, block[0])), t
         same = color[1:] == color[:-1]
         for i in np.flatnonzero(same & (block[1:] != block[:-1]).any(axis=1)):
-            yield int(color[i + 1]), _first_difference(block[i], block[i + 1])
+            t = int(color[i + 1])
+            yield *decode(t, _first_difference(block[i], block[i + 1])), t
         last_color, last_row = color[-1], block[-1]
 
 
@@ -146,23 +206,26 @@ def _is_coherent(M):
 
     Cell (b, a) has the pairs of (a, b), swapped and transposed, so it
     suffices to compare the cells of colors t < t' (t' the transpose of
-    t), the cells a <= b of symmetric colors, and the transpose of the
-    first cell of each symmetric color.  These go to the composition
+    t), the cells a <= b of symmetric colors, and the transpose of one
+    such cell of each symmetric color.  These go to the composition
     kernel in color order.
     """
     n = M.shape[0]
     if n == 0:
         return True
+    r = int(M.max()) + 1
     flat = M.ravel()
-    tau = np.zeros(int(M.max()) + 1, dtype=np.int64)
+    tau = np.zeros(r, dtype=np.int64)
     tau[flat] = M.T.ravel()
     if not np.array_equal(tau[M], M.T):
         return False
-    colors, first = np.unique(flat, return_index=True)
-    a, b = np.divmod(first[tau[colors] == colors], n)
     upper = np.triu(np.ones((n, n), dtype=bool)).ravel()
-    keep = (flat < tau[flat]) | ((flat == tau[flat]) & upper)
-    cells = np.concatenate([np.flatnonzero(keep), b * n + a])
+    kept = np.flatnonzero((flat < tau[flat]) | ((flat == tau[flat]) & upper))
+    # one cell a <= b of each symmetric color, whose transpose is added
+    cell = np.full(r, -1, dtype=np.int64)
+    cell[flat[kept]] = kept
+    a, b = np.divmod(cell[(tau == np.arange(r)) & (cell >= 0)], n)
+    cells = np.concatenate([kept, b * n + a])
     cells = cells[np.argsort(flat[cells], kind="stable")]
     return next(_composition_mismatches(M, cells), None) is None
 
@@ -216,8 +279,9 @@ def two_extension(cfg):
     """Coherent closure on point pairs containing the Cartesian square.
 
     The diagonal of the squared point set is split off as a fiber union;
-    the intersection numbers of the result are the 2-dimensional
-    intersection numbers of the input.
+    the intersection numbers of the result are the 3-dimensional
+    intersection numbers of the input, which count the points g by
+    their colors to the three points of a triple.
     """
     n = cfg.degree
     if n > TWO_EXTENSION_DEGREE_LIMIT:
@@ -247,11 +311,9 @@ def coherence_violations(colors, max_report=5):
     M = np.asarray(colors, dtype=np.int64)
     if _is_coherent(M):
         return []
-    r = int(M.max()) + 1
     violations = []
     cells = np.argsort(M.ravel(), kind="stable")
-    for t, code in _composition_mismatches(M, cells):
-        triple = (code // r, code % r, t)
+    for triple in _composition_mismatches(M, cells):
         if triple not in violations:
             violations.append(triple)
             if len(violations) >= max_report:

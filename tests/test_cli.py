@@ -39,6 +39,9 @@ def test_loads_rejects_malformed():
         loads("COHCFG v1\ndegree 2\nrank 2\n0 1\n1 0\n\nrank 3\n")
     with pytest.raises(FormatError):
         loads("COHCFG v1\ndegree 0\nrank 0\n0\n")
+    # an id beyond 64 bits
+    with pytest.raises(FormatError, match="row 0"):
+        loads("COHCFG v1\ndegree 1\nrank 1\n99999999999999999999\n")
 
 
 def test_trailing_content_exits_2(tmp_path, capsys, hollmann8):

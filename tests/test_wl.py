@@ -358,6 +358,30 @@ def transposes_defined(M):
     return all(len(set(M.T[M == t].tolist())) == 1 for t in np.unique(M))
 
 
+def with_fibers(T, fiber, rng):
+    """T with each cell's color split by its fiber pair, the diagonal colored
+    by fiber alone, and the color ids shuffled"""
+    k = int(fiber.max()) + 1
+    X = (T + 1) * k * k + fiber[:, None] * k + fiber[None, :]
+    np.fill_diagonal(X, fiber)
+    ids = np.unique(X, return_inverse=True)[1].reshape(X.shape)
+    return rng.permutation(int(ids.max()) + 1)[ids]
+
+
+def kernel_corpus(seed, count=60):
+    """random color matrices, with and without a separated diagonal and
+    several fibers, and their closures"""
+    rng = np.random.default_rng(seed)
+    tau = np.array([0, 1, 3, 2, 4])         # colors 2 and 3 are transposes
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        M = rng.integers(0, int(rng.integers(1, 5)), size=(n, n))
+        T = np.triu(rng.integers(2, 5, size=(n, n)), 1)
+        T = T + tau[T].T * (T.T > 0) + np.diag(rng.integers(0, 2, size=n))
+        F = with_fibers(T, rng.integers(0, 3, size=n), rng)
+        yield from (M, T, stabilize(T), np.minimum(stabilize(T), 2), F, stabilize(F))
+
+
 @pytest.mark.parametrize("batch_bytes", [1, 200, wl._BATCH_BYTES])
 def test_coherence_kernel(monkeypatch, batch_bytes):
     # 1 byte gives one cell per batch: every comparison crosses a batch
@@ -367,30 +391,73 @@ def test_coherence_kernel(monkeypatch, batch_bytes):
     assert wl._is_coherent(coherent_closure(cycle_partition(6)).colors)
     # one symmetric color joining two fibers: only its transposed cell differs
     assert not wl._is_coherent(np.array([[0, 2], [2, 1]]))
-    rng = np.random.default_rng(11)
-    tau = np.array([0, 1, 3, 2, 4])         # colors 2 and 3 are transposes
-    for _ in range(60):
-        n = int(rng.integers(1, 7))
-        M = rng.integers(0, int(rng.integers(1, 5)), size=(n, n))
-        T = np.triu(rng.integers(2, 5, size=(n, n)), 1)
-        T = T + tau[T].T * (T.T > 0) + np.diag(rng.integers(0, 2, size=n))
-        for X in (M, T, stabilize(T), np.minimum(stabilize(T), 2)):
-            coherent = naive_is_coherent(X)
-            assert wl._is_coherent(X) == coherent
-            if not transposes_defined(X):
-                continue
-            # the reporter and the tensor re-verification use the same kernel
-            bad = coherence_violations(X)
-            assert (bad == []) == coherent
-            for r, s, t in bad:
-                assert len(brute_force_triple_counts(X, r, s, t)) > 1
-            cfg = CoherentConfiguration(X)
-            if coherent:
-                cfg.tensor(verify="full")
-                continue
-            with pytest.raises(IntegrityError) as err:
-                cfg.tensor(verify="full")
-            assert len(brute_force_triple_counts(cfg.colors, *err.value.triple)) > 1
+    decoded_across_fibers = 0
+    for X in kernel_corpus(11):
+        coherent = naive_is_coherent(X)
+        assert wl._is_coherent(X) == coherent
+        if not transposes_defined(X):
+            continue
+        # the reporter and the tensor re-verification use the same kernel
+        bad = coherence_violations(X)
+        assert (bad == []) == coherent
+        for r, s, t in bad:
+            assert len(brute_force_triple_counts(X, r, s, t)) > 1
+        fibers = len(set(np.diagonal(X).tolist()))
+        decoded_across_fibers += len(bad) * (fibers > 1)
+        cfg = CoherentConfiguration(X)
+        if coherent:
+            cfg.tensor(verify="full")
+            continue
+        with pytest.raises(IntegrityError) as err:
+            cfg.tensor(verify="full")
+        assert len(brute_force_triple_counts(cfg.colors, *err.value.triple)) > 1
+    assert decoded_across_fibers > 100
+
+
+@pytest.mark.parametrize("limits, dtype", [(None, np.uint16),
+                                           ((0, 1 << 31), np.int32),
+                                           ((0, 0), np.int64)])
+def test_code_dtypes(monkeypatch, limits, dtype):
+    if limits:
+        monkeypatch.setattr(wl, "_UINT16_CODES", limits[0])
+        monkeypatch.setattr(wl, "_INT32_CODES", limits[1])
+    real, dtypes = wl._code_tables, set()
+
+    def spy(M):
+        tables = real(M)
+        dtypes.update({tables[0].dtype, tables[1].dtype})
+        return tables
+
+    monkeypatch.setattr(wl, "_code_tables", spy)
+    for X in kernel_corpus(5, count=20):
+        assert wl._is_coherent(X) == naive_is_coherent(X)
+    assert dtypes == {np.dtype(dtype)}
+
+
+def test_invalid_fibers_give_global_codes():
+    # all cells one color: coherent, and the diagonal is not separated
+    zero = np.zeros((3, 3), dtype=np.int64)
+    assert wl._is_coherent(zero) and naive_is_coherent(zero)
+    assert coherence_violations(zero) == []
+    # fibers {0, 1} and {2}; color 2 lies in {0, 1}^2 and in {0, 1} x {2}
+    spans = np.array([[0, 2, 2], [2, 0, 3], [2, 3, 1]])
+    assert not wl._is_coherent(spans) and not naive_is_coherent(spans)
+    bad = coherence_violations(spans)
+    assert bad and all(len(brute_force_triple_counts(spans, *v)) > 1 for v in bad)
+    # the diagonal color 0 also lies off the diagonal
+    off_diag = np.array([[0, 0, 2], [0, 0, 2], [3, 3, 1]])
+    for M in (zero, spans, off_diag):
+        r = int(M.max()) + 1
+        R, C, decode = wl._code_tables(M)
+        assert np.array_equal(R, M * r) and np.array_equal(C, M.T)
+        assert decode(0, r * r - 1) == (r - 1, r - 1)
+
+
+def test_extension_codes_fit_16_bits(hollmann16):
+    M = extend_points(hollmann16[0], [0]).colors
+    R, C, _ = wl._code_tables(M)
+    assert R.dtype == C.dtype == np.uint16
+    assert (int(M.max()) + 1) ** 2 > 1 << 16     # global codes would not
 
 
 class ConstantWeights:
