@@ -4,6 +4,10 @@ A configuration on n points is an n x n integer matrix assigning each
 ordered pair a color (basis relation id).  Canonical ids sort classes by
 (reflexive first, valency ascending, least cell in row-major order), so
 any two constructions of the same partition serialize identically.
+
+Every grouping of the n**2 cells by color goes through `cells_by_color`,
+a stable sort of the ids in linear time (radix passes of 16 bits), and
+`color_classes`, the (values, first cell, inverse) triple built on it.
 """
 
 import numpy as np
@@ -15,6 +19,52 @@ from .report import VerificationReport
 TENSOR_RANK_LIMIT = 256
 
 
+def cells_by_color(flat):
+    """Stable argsort of a flat array of integer ids, in linear time.
+
+    One LSD radix pass per 16 bits of the largest id: numpy's stable
+    sort of uint16 keys is a counting sort.  Negative ids are shifted
+    by the minimum first.
+    """
+    flat = np.asarray(flat).ravel()
+    if flat.size and flat.min() < 0:
+        flat = flat - flat.min()
+    top = int(flat.max()) if flat.size else 0
+    order = np.argsort(flat.astype(np.uint16), kind="stable")
+    for shift in range(16, top.bit_length(), 16):
+        digit = (flat[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
+def color_classes(flat):
+    """``np.unique(flat, return_index=True, return_inverse=True)`` in
+    linear time: the sorted distinct ids, the first index of each, and
+    the class number of every entry.
+
+    The inverse is ``flat`` itself when the ids are already 0..r-1, a
+    lookup table when the largest id is below the cell count, and a
+    binary search otherwise (a table that size could exhaust memory).
+    """
+    flat = np.asarray(flat).ravel()
+    order = cells_by_color(flat)
+    keys = flat[order]
+    change = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    values, first = keys[starts], order[starts]
+    r = values.size
+    if r == 0 or (values[0] == 0 and values[-1] == r - 1):
+        inverse = flat
+    elif values[0] >= 0 and values[-1] < flat.size:
+        table = np.empty(int(values[-1]) + 1, dtype=np.int64)
+        table[values] = np.arange(r)
+        inverse = table[flat]
+    else:
+        inverse = np.searchsorted(values, flat)
+    return values, first, inverse
+
+
 def first_occurrence_relabel(colors):
     """Relabel classes by order of first appearance (row-major scan).
 
@@ -22,10 +72,9 @@ def first_occurrence_relabel(colors):
     their relabelings are equal arrays.
     """
     colors = np.asarray(colors)
-    vals, first, inv = np.unique(colors, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(len(vals), dtype=np.int64)
-    rank[order] = np.arange(len(vals))
+    _, first, inv = color_classes(colors)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
     return rank[inv].reshape(colors.shape)
 
 
@@ -40,9 +89,9 @@ def canonicalize_colors(colors):
     """Canonical ids: reflexive classes first, then valency, then least cell."""
     colors = np.asarray(colors)
     n = colors.shape[0]
-    vals, first, inv = np.unique(colors, return_index=True, return_inverse=True)
+    _, first, inv = color_classes(colors)
     M = inv.reshape(n, n)
-    r = len(vals)
+    r = len(first)
     first_rows = first // n
     reflexive = np.zeros(r, dtype=bool)
     reflexive[M[np.arange(n), np.arange(n)]] = True
@@ -92,7 +141,7 @@ class CoherentConfiguration:
 
     def _first_cells(self):
         if self._first is None:
-            _, first = np.unique(self.colors, return_index=True)
+            _, first, _ = color_classes(self.colors)
             self._first = (first // self.degree, first % self.degree)
         return self._first
 
@@ -195,7 +244,7 @@ class CoherentConfiguration:
             codes = M[fr[t], :] * r + M[:, fc[t]]
             values[t] = np.bincount(codes, minlength=r * r).reshape(r, r)
         flat = M.ravel()
-        cells = np.argsort(flat, kind="stable")
+        cells = cells_by_color(flat)
         if not (verify == "full" or (verify is None and n <= 100)):
             rng = np.random.default_rng(seed)
             k = max(1, int(np.ceil(np.log2(max(n, 2)))))

@@ -7,6 +7,8 @@ intermediate objects (schemes and their point extensions) are memoized
 for the duration of the process.
 """
 
+import inspect
+import numbers
 import time
 
 import numpy as np
@@ -65,11 +67,26 @@ def known_claims():
 
 
 def verify_claim(claim_id, **params):
-    """Run one registered claim; returns its VerificationReport."""
+    """Run one registered claim; returns its VerificationReport.
+
+    The parameters must bind to the claim's signature; each takes the
+    type of its default, an integer when it has none (not a bool).
+    """
     if claim_id not in _REGISTRY:
         raise UsageError(f"unknown claim {claim_id!r}; known: {known_claims()}")
+    fn = _REGISTRY[claim_id]
+    signature = inspect.signature(fn)
+    try:
+        bound = signature.bind(**params)
+    except TypeError as exc:
+        raise UsageError(f"claim {claim_id}: {exc}") from None
+    for name, value in bound.arguments.items():
+        text = isinstance(signature.parameters[name].default, str)
+        if isinstance(value, bool) or not isinstance(value, str if text else numbers.Integral):
+            raise UsageError(f"claim {claim_id}: parameter {name}={value!r} is not "
+                             f"{'a string' if text else 'an integer'}")
     t0 = time.perf_counter()
-    rep = _REGISTRY[claim_id](**params)
+    rep = fn(**params)
     rep.seconds = time.perf_counter() - t0
     return rep
 

@@ -147,6 +147,8 @@ def _parse_params(text):
         if "=" not in item:
             raise UsageError(f"claim parameter {item!r} is not key=value")
         key, value = item.split("=", 1)
+        if key in params:
+            raise UsageError(f"claim parameter {key!r} given twice")
         try:
             params[key] = int(value)
         except ValueError:

@@ -52,7 +52,7 @@ def loads(text):
     if degree:
         if colors.min() < 0 or colors.max() >= rank:
             raise FormatError("color id out of declared rank range")
-        if len(np.unique(colors)) != rank:
+        if rank > colors.size or not np.bincount(colors.ravel(), minlength=rank).all():
             raise FormatError("declared rank does not match the distinct ids used")
     cfg = CoherentConfiguration(colors)
     return cfg

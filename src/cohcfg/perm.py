@@ -266,7 +266,12 @@ class PermGroup:
         return len(self.orbit(0)) == self.degree if self.degree else True
 
     def orbitals(self):
-        """Partition of point pairs into orbits, as a CoherentConfiguration."""
+        """Partition of point pairs into orbits, as a CoherentConfiguration.
+
+        Orbits are numbered in row-major order of their least cell.  Each
+        row is scanned once for unpainted cells, skipping those painted
+        since, and each orbit is painted breadth first from that cell.
+        """
         from .cc import CoherentConfiguration
 
         n = self.degree
@@ -275,7 +280,7 @@ class PermGroup:
         color = 0
         for a in range(n):
             row = colors[a]
-            for b in range(n):
+            for b in np.flatnonzero(row < 0).tolist():
                 if row[b] >= 0:
                     continue
                 colors[a, b] = color

@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .cc import CoherentConfiguration
+from .cc import CoherentConfiguration, cells_by_color
 from .errors import ResourceLimitError, UsageError
 
 TWO_EXTENSION_DEGREE_LIMIT = 30
@@ -173,6 +173,8 @@ def _composition_mismatches(M, cells):
     there, a code whose multiplicity differs between the rows; the codes
     of one color are injective, so decoding it names (r', s').
     """
+    if cells.size == 0:
+        return
     n = M.shape[0]
     R, C, decode = _code_tables(M)
     flat = M.ravel()
@@ -226,7 +228,7 @@ def _is_coherent(M):
     cell[flat[kept]] = kept
     a, b = np.divmod(cell[(tau == np.arange(r)) & (cell >= 0)], n)
     cells = np.concatenate([kept, b * n + a])
-    cells = cells[np.argsort(flat[cells], kind="stable")]
+    cells = cells[cells_by_color(flat[cells])]
     return next(_composition_mismatches(M, cells), None) is None
 
 
@@ -312,7 +314,7 @@ def coherence_violations(colors, max_report=5):
     if _is_coherent(M):
         return []
     violations = []
-    cells = np.argsort(M.ravel(), kind="stable")
+    cells = cells_by_color(M)
     for triple in _composition_mismatches(M, cells):
         if triple not in violations:
             violations.append(triple)

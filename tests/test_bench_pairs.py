@@ -1,0 +1,35 @@
+import importlib.util
+import os
+
+import pytest
+
+PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
+spec = importlib.util.spec_from_file_location("bench_pairs", PATH)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def pair(parent, change):
+    return {"parent": {"metrics": parent}, "change": {"metrics": change}}
+
+
+def test_summary_quartiles_medians_and_wins():
+    walls = [(1.0, 0.7), (1.2, 0.8), (1.1, 1.1), (1.4, 0.9), (1.3, 1.5)]
+    pairs = [pair({"wall_s": p, "peak_rss_mb": 50.0}, {"wall_s": c, "peak_rss_mb": 49.0})
+             for p, c in walls]
+    summary = bench_pairs.summarize(pairs)
+    wall = summary["wall_s"]
+    assert wall["parent_q1_median_q3"] == [1.1, 1.2, 1.3]
+    assert wall["change_q1_median_q3"] == [0.8, 0.9, 1.1]
+    # the tie at 1.1 counts for neither side
+    assert wall["change_lower_in"] == "3/5"
+    assert summary["peak_rss_mb"]["change_lower_in"] == "5/5"
+
+
+def test_summary_interpolates_quartiles():
+    pairs = [pair({"wall_s": p}, {"wall_s": p}) for p in (4.0, 1.0, 3.0, 2.0)]
+    wall = bench_pairs.summarize(pairs)["wall_s"]
+    assert wall["parent_q1_median_q3"] == pytest.approx([1.75, 2.5, 3.25])
+    assert wall["change_lower_in"] == "0/4"
+    single = bench_pairs.summarize([pair({"wall_s": 2.0}, {"wall_s": 1.0})])
+    assert single["wall_s"]["change_q1_median_q3"] == [1.0, 1.0, 1.0]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cohcfg.cc import (CoherentConfiguration, algebraic_fusion,
-                       canonicalize_colors, first_occurrence_relabel,
-                       induced_color_action, same_partition)
+                       canonicalize_colors, cells_by_color, color_classes,
+                       first_occurrence_relabel, induced_color_action,
+                       same_partition)
 from cohcfg.errors import (ColorActionError, IntegrityError,
                            ResourceLimitError, UsageError)
 from cohcfg.perm import PermGroup
@@ -382,3 +383,57 @@ def test_tensor_rank_guard():
     big = PermGroup(17, []).orbitals()   # rank 289 exceeds the dense guard
     with pytest.raises(ResourceLimitError):
         big.tensor()
+
+
+def id_corpus():
+    """Seeded flat id arrays covering every radix width and inverse route:
+    empty, one cell, dense 0..r-1, ids below 2^16, up to 2^20, sparse ids
+    at or above n^2, and ids at or above 2^32."""
+    rng = np.random.default_rng(11)
+    yield np.empty(0, dtype=np.int64)
+    yield np.array([5])
+    yield rng.permutation(np.repeat(np.arange(50), 8))
+    for n, lo, hi in [(1, 0, 1), (6, 0, 4), (20, 0, 300), (300, 0, 1 << 16),
+                      (40, 0, 1 << 20), (30, 900, 1800), (25, 1 << 32, 1 << 40)]:
+        yield rng.integers(lo, hi, size=n * n)
+        # few distinct ids spread over the range
+        yield rng.choice(rng.integers(lo, hi, size=5), size=n * n)
+
+
+def unique_relabel(colors):
+    """first_occurrence_relabel on np.unique, as it was written before"""
+    _, first, inv = np.unique(colors, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(len(first))
+    return rank[inv].reshape(colors.shape)
+
+
+def test_cells_by_color_matches_argsort_and_unique():
+    for flat in id_corpus():
+        assert np.array_equal(cells_by_color(flat),
+                              np.argsort(flat, kind="stable"))
+        want = np.unique(flat, return_index=True, return_inverse=True)
+        for got, expected in zip(color_classes(flat), want):
+            assert np.array_equal(got, expected.ravel())
+    shifted = np.array([3, -7, 0, -7, 3, 2 ** 40])
+    assert np.array_equal(cells_by_color(shifted),
+                          np.argsort(shifted, kind="stable"))
+
+
+def test_color_grouping_matches_unique_copies():
+    squares = 0
+    for flat in id_corpus():
+        n = int(np.sqrt(flat.size))
+        if n * n != flat.size or n == 0:
+            continue
+        squares += 1
+        colors = flat.reshape(n, n)
+        assert np.array_equal(canonicalize_colors(colors),
+                              loop_canonicalize(colors))
+        assert np.array_equal(first_occurrence_relabel(colors),
+                              unique_relabel(colors))
+        cfg = CoherentConfiguration(colors)
+        _, first = np.unique(cfg.colors, return_index=True)
+        fr, fc = cfg._first_cells()
+        assert np.array_equal(fr, first // n) and np.array_equal(fc, first % n)
+    assert squares >= 12

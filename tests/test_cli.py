@@ -39,6 +39,11 @@ def test_loads_rejects_malformed():
         loads("COHCFG v1\ndegree 2\nrank 2\n0 1\n1 0\n\nrank 3\n")
     with pytest.raises(FormatError):
         loads("COHCFG v1\ndegree 0\nrank 0\n0\n")
+    # an id below the declared rank is unused; a rank beyond the cell count
+    with pytest.raises(FormatError, match="declared rank"):
+        loads("COHCFG v1\ndegree 2\nrank 3\n0 2\n2 0\n")
+    with pytest.raises(FormatError, match="declared rank"):
+        loads("COHCFG v1\ndegree 1\nrank 1000000000000\n0\n")
     # an id beyond 64 bits
     with pytest.raises(FormatError, match="row 0"):
         loads("COHCFG v1\ndegree 1\nrank 1\n99999999999999999999\n")
@@ -144,6 +149,24 @@ def test_verify_exit_codes(capsys):
     code, _, err = run(capsys, "verify", "--claim", "310520d",
                        "--params", "broken")
     assert code == 2
+    # parameters that do not bind to the claim, or repeat a key
+    for params in ("q=abc", "q=3.0", "q=True", "foo=3", "q=3,foo=3", "q=3,q=5"):
+        code, text, err = run(capsys, "verify", "--claim", "300520a",
+                              "--params", params)
+        assert code == 2, params
+        assert text == "" and err.startswith("error: "), params
+    code, text, _ = run(capsys, "verify", "--claim", "411958b",
+                        "--params", "family=small,trials=5")
+    assert code == 0
+    assert text.startswith("CLAIM 411958b family=small,seed=0,trials=5 PASS")
+
+
+def test_degree_zero_tensor(tmp_path, capsys):
+    path = tmp_path / "empty.cohcfg"
+    path.write_text("COHCFG v1\ndegree 0\nrank 0\n")
+    code, text, _ = run(capsys, "analyze", str(path), "--tensor")
+    assert code == 0
+    assert "tensor-row-sums true" in text
 
 
 def test_aut_subcommand(tmp_path, capsys, hollmann8):

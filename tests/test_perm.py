@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cohcfg.cc import CoherentConfiguration
 from cohcfg.perm import (PermGroup, compose, identity, inverse, is_identity,
                          perm_order)
 from cohcfg.schemes import AffinePlanePoints, ExteriorPairPoints
@@ -146,3 +147,39 @@ def test_galois_correspondence_small_degrees(hollmann8, hollmann16, small8,
     for cfg in instances:
         aut = automorphism_group(cfg)
         assert aut.group.orbitals().same_partition(cfg)
+
+
+def cell_painter(G):
+    """orbital colors painted one cell at a time, as written before"""
+    n = G.degree
+    gens = [np.asarray(g, dtype=np.int64) for g in G.generators]
+    colors = np.full((n, n), -1, dtype=np.int64)
+    color = 0
+    for a in range(n):
+        for b in range(n):
+            if colors[a, b] >= 0:
+                continue
+            colors[a, b] = color
+            fa, fb = np.array([a]), np.array([b])
+            while fa.size:
+                parts = []
+                for g in gens:
+                    ia, ib = g[fa], g[fb]
+                    fresh = colors[ia, ib] < 0
+                    ia, ib = ia[fresh], ib[fresh]
+                    colors[ia, ib] = color
+                    parts.append((ia, ib))
+                fa = np.concatenate([p[0] for p in parts] + [np.empty(0, int)])
+                fb = np.concatenate([p[1] for p in parts] + [np.empty(0, int)])
+            color += 1
+    return colors
+
+
+def test_row_scanned_painter_matches_cell_painter(hollmann8, hollmann16,
+                                                  passman_schemes):
+    groups = [PermGroup(40, []),
+              PermGroup(12, [tuple((i + 1) % 12 for i in range(12))]),
+              hollmann8[1], hollmann16[1], passman_schemes[5][1]]
+    for G in groups:
+        expected = CoherentConfiguration(cell_painter(G))
+        assert np.array_equal(G.orbitals().colors, expected.colors)
