@@ -8,9 +8,9 @@ downstream small-bound clauses fail with it.  The structural
 conclusions those bounds were used to prove are checked directly by
 claims 280520a and 310520d and hold.
 
-Pass --heavy to include the 496-point two-point extensions.  Measured
-on a 2-core x86-64 machine (median of 3 runs): 2.0 s and 59 MB peak RSS,
-or 5.5 s and 73 MB with --heavy.
+Pass --heavy to include the 496-point two-point extensions.  The
+benchmark's `ledger` workload runs the light plan; its wall time and
+peak RSS, before and after each speed claim, are in BENCH_ledger.json.
 """
 
 import sys

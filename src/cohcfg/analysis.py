@@ -34,7 +34,7 @@ import numpy as np
 from .cc import CoherentConfiguration
 from .errors import ResourceLimitError, UsageError
 from .gf import Field
-from .perm import PermGroup, identity, perm_order
+from .perm import PermGroup, perm_order
 from .report import VerificationReport
 from .wl import extend_points, stabilize
 

@@ -397,6 +397,8 @@ def _bound_corpus(seed=0, count=100):
     extensions: no instance beats the (2k-1)c >= n bound, and every
     partly regular instance certifies schurian and separable through
     the fast path."""
+    if count <= 0:
+        raise UsageError("count must be positive")
     rep = VerificationReport(claim="201444a", params={"seed": seed, "count": count})
     rng = np.random.default_rng(seed)
     checked = 0
@@ -435,6 +437,8 @@ def _bound_corpus(seed=0, count=100):
 def _fusion_bound(family="small", seed=0, trials=1000):
     """Fused intersection numbers obey c_{r s}^{t, fused} <= m_t |Phi|^2,
     spot-checked on seeded random triples of the base scheme."""
+    if trials <= 0:
+        raise UsageError("trials must be positive")
     rep = VerificationReport(claim="411958b",
                              params={"family": family, "seed": seed,
                                      "trials": trials})

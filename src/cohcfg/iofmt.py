@@ -49,11 +49,10 @@ def loads(text):
     if any(ln.strip() for ln in lines[3 + degree:]):
         raise FormatError(f"unexpected content after the {degree} matrix rows")
     colors = np.array(rows, dtype=np.int64).reshape(degree, degree)
-    if degree:
-        if colors.min() < 0 or colors.max() >= rank:
-            raise FormatError("color id out of declared rank range")
-        if rank > colors.size or not np.bincount(colors.ravel(), minlength=rank).all():
-            raise FormatError("declared rank does not match the distinct ids used")
+    if degree and (colors.min() < 0 or colors.max() >= rank):
+        raise FormatError("color id out of declared rank range")
+    if rank > colors.size or not np.bincount(colors.ravel(), minlength=rank).all():
+        raise FormatError("declared rank does not match the distinct ids used")
     cfg = CoherentConfiguration(colors)
     return cfg
 

@@ -1,37 +1,31 @@
 """Permutations as image tuples, groups via deterministic Schreier-Sims chains.
 
-A permutation on n points is a tuple p with p[i] the image of i.
-``compose(p, q)`` applies p first, then q.  Groups carry a base-and-orbit
-stabilizer chain built with a deterministic base (forced prefix first,
-then smallest moved point) and breadth-first transversals, so orders and
-stabilizers are exact and reproducible.
+A permutation on n points is a tuple p with p[i] the image of i; group
+generators, strong generators and group elements are such tuples.
+Groups carry a base-and-orbit stabilizer chain built with a
+deterministic base (forced prefix first, then smallest moved point) and
+breadth-first transversals, so orders and stabilizers are exact and
+reproducible.
+
+Inside the chain a level's strong generators and transversal are numpy
+rows (int16 below 2^15 points, else int32).  A row t applied first and a
+row g second give the row ``g[t]``.  Schreier generators are built and
+sifted in chunks of orbit points, and the first one in (orbit point,
+generator) order whose residue is not the identity is installed, as a
+one-at-a-time loop would do.
 """
 
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .errors import UsageError
 
+CHUNK = 64   # orbit points whose Schreier generators are sifted together
+
 
 def identity(n):
     return tuple(range(n))
-
-
-def compose(p, q):
-    """Apply p, then q."""
-    return tuple(q[i] for i in p)
-
-
-def inverse(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
-def is_identity(p):
-    return all(i == j for i, j in enumerate(p))
 
 
 def check_permutation(p, n):
@@ -54,21 +48,42 @@ def perm_order(p):
     return order
 
 
-def _orbit_transversal(point, gens, degree):
-    """Breadth-first transversal {gamma: perm with perm[point] == gamma}."""
-    trans = {point: identity(degree)}
-    frontier = [point]
-    while frontier:
-        new = []
-        for gamma in frontier:
-            t = trans[gamma]
-            for g in gens:
-                delta = g[gamma]
-                if delta not in trans:
-                    trans[delta] = compose(t, g)
-                    new.append(delta)
-        frontier = sorted(new)
-    return trans
+def _gather(table, which, rows):
+    """Row r of the result is ``table[which[r]][rows[r]]``, as one flat
+    gather (``which`` broadcasts against the leading axes of ``rows``)."""
+    offsets = np.multiply(which, table.shape[1], dtype=np.intp)
+    return table.ravel().take(rows + offsets[..., None])
+
+
+def _transversal(point, gens, ident):
+    """Breadth-first transversal of the orbit of ``point`` under the rows
+    ``gens``, as ``(lookup, T, Tinv)``: ``T[lookup[gamma]]`` maps point to
+    gamma (``lookup`` is -1 off the orbit) and ``Tinv`` holds the inverse
+    rows.  Each layer keeps the first image of each new point in
+    (gamma ascending, generator) order, and its representative is the
+    generator applied after gamma's."""
+    m = len(gens)
+    lookup = np.full(ident.size, -1, dtype=ident.dtype)
+    lookup[point] = 0
+    blocks = [ident[None, :]]
+    frontier = np.array([point])
+    size = 1
+    while m:
+        cand = gens.T[frontier].ravel()
+        fresh = (lookup[cand] < 0).nonzero()[0]
+        if not fresh.size:
+            break
+        new, first = np.unique(cand[fresh], return_index=True)
+        pos = fresh[first]
+        lookup[new] = np.arange(size, size + new.size)
+        size += new.size
+        src, g = np.divmod(pos, m)
+        blocks.append(_gather(gens, g, blocks[-1][src]))
+        frontier = new
+    T = np.concatenate(blocks)
+    Tinv = np.empty_like(T)
+    Tinv[np.arange(len(T))[:, None], T] = ident
+    return lookup, T, Tinv
 
 
 class PermGroup:
@@ -81,15 +96,16 @@ class PermGroup:
 
     def __init__(self, degree, generators=(), base_prefix=()):
         self.degree = degree
+        one = identity(degree)
         gens = []
         for g in generators:
             g = tuple(g)
             check_permutation(g, degree)
-            if not is_identity(g) and g not in gens:
+            if g != one and g not in gens:
                 gens.append(g)
         self.generators = gens
         self._base = []
-        self._level_gens = []   # level i: strong generators fixing base[:i]
+        self._level_gens = []   # level i: rows of strong generators fixing base[:i]
         self._transversals = []
         self._chain_ready = False
         for b in base_prefix:
@@ -105,17 +121,18 @@ class PermGroup:
             self._chain_ready = True
 
     def _build_chain(self):
+        n = self.degree
+        self._ident = np.arange(n, dtype=np.int16 if n < 2 ** 15 else np.int32)
         base, levels = self._base, self._level_gens
-        levels.clear()
-        levels.append(list(self.generators))
-        for i, b in enumerate(base):
-            levels.append([g for g in levels[i] if g[b] == b])
-        while any(not is_identity(g) for g in levels[-1]):
-            moved = min(i for g in levels[-1] for i in range(self.degree)
-                        if g[i] != i)
+        levels[:] = [np.array(self.generators, dtype=self._ident.dtype)
+                     .reshape(len(self.generators), n)]
+        for b in base:
+            levels.append(levels[-1][levels[-1][:, b] == b])
+        while len(levels[-1]):
+            moved = int(np.argmax((levels[-1] != self._ident).any(axis=0)))
             base.append(moved)
-            levels.append([g for g in levels[-1] if g[moved] == moved])
-        # levels has len(base)+1 entries; the last one holds only identities
+            levels.append(levels[-1][levels[-1][:, moved] == moved])
+        # levels has len(base)+1 entries; the last one is empty
         levels.pop()
         self._transversals = [None] * len(base)
         for i in range(len(base)):
@@ -123,73 +140,78 @@ class PermGroup:
         self._complete()
 
     def _rebuild(self, i):
-        self._transversals[i] = _orbit_transversal(
-            self._base[i], self._level_gens[i], self.degree)
+        self._transversals[i] = _transversal(
+            self._base[i], self._level_gens[i], self._ident)
 
-    def _sift(self, g, start=0):
-        """Reduce g through levels >= start; returns (level, residue)."""
-        for i in range(start, len(self._base)):
-            img = g[self._base[i]]
-            rep = self._transversals[i].get(img)
-            if rep is None:
-                return i, g
-            g = compose(g, inverse(rep))
-        return len(self._base), g
+    def _sift(self, rows, start=0):
+        """Sift each row through levels >= start.  Returns (level, residue)
+        for the first row whose residue is not the identity, or None.  A
+        row leaves at the level whose base image has no representative;
+        rows after the first to leave are dropped."""
+        found = None
+        for k in range(start, len(self._base)):
+            lookup, _, tinv = self._transversals[k]
+            reps = lookup[rows[:, self._base[k]]]
+            out = (reps < 0).nonzero()[0]
+            if out.size:
+                r = int(out[0])
+                found = (k, rows[r])
+                rows, reps = rows[:r], reps[:r]
+            rows = _gather(tinv, reps, rows)
+        moved = (rows != self._ident).any(axis=1).nonzero()[0]
+        if moved.size:
+            return len(self._base), rows[moved[0]]
+        return found
 
     def _complete(self):
         """Deterministic Schreier-Sims: verify levels bottom-up."""
         i = len(self._base) - 1
         while i >= 0:
             restart = self._close_level(i)
-            if restart is None:
-                i -= 1
-            else:
-                i = restart
+            i = i - 1 if restart is None else restart
 
     def _close_level(self, i):
         """Sift all Schreier generators of level i.
 
         Returns None when the level is complete, else the level to
-        re-verify after new strong generators were installed.
+        re-verify after new strong generators were installed.  The
+        Schreier generator of orbit point gamma and generator g is
+        ``Tinv[g[gamma]][g[T[gamma]]]``.
         """
-        self._rebuild(i)
-        trans = self._transversals[i]
-        for gamma in sorted(trans):
-            t = trans[gamma]
-            for g in self._level_gens[i]:
-                u = compose(compose(t, g), inverse(trans[g[gamma]]))
-                if is_identity(u):
-                    continue
-                j, h = self._sift(u, i + 1)
-                if is_identity(h):
-                    continue
-                if j == len(self._base):
-                    moved = min(x for x in range(self.degree) if h[x] != x)
-                    self._base.append(moved)
-                    self._level_gens.append([])
-                    self._transversals.append(None)
-                for k in range(i + 1, j + 1):
-                    self._level_gens[k].append(h)
-                for k in range(i + 1, j + 1):
-                    self._rebuild(k)
-                return j
+        lookup, T, tinv = self._transversals[i]
+        gens = self._level_gens[i]
+        orbit = (lookup >= 0).nonzero()[0]
+        for start in range(0, orbit.size, CHUNK):
+            gamma = orbit[start:start + CHUNK]
+            images = _gather(gens, np.arange(len(gens)),
+                             T[lookup[gamma]][:, None, :])
+            rows = _gather(tinv, lookup[gens.T[gamma].ravel()],
+                           images.reshape(-1, self.degree))
+            found = self._sift(rows, i + 1)
+            if found is None:
+                continue
+            j, h = found
+            if j == len(self._base):
+                self._base.append(int(np.argmax(h != self._ident)))
+                self._level_gens.append(gens[:0])
+                self._transversals.append(None)
+            for k in range(i + 1, j + 1):
+                self._level_gens[k] = np.vstack([self._level_gens[k], h])
+                self._rebuild(k)
+            return j
         return None
 
     # queries
 
     def order(self):
         self._ensure_chain()
-        n = 1
-        for trans in self._transversals:
-            n *= len(trans)
-        return n
+        return prod(len(T) for _, T, _ in self._transversals)
 
     def contains(self, g):
         g = tuple(g)
         check_permutation(g, self.degree)
         self._ensure_chain()
-        _, h = self._sift(g)
-        return is_identity(h)
+        return self._sift(np.array([g], dtype=self._ident.dtype)) is None
 
     def base(self):
         self._ensure_chain()
@@ -199,11 +221,8 @@ class PermGroup:
         self._ensure_chain()
         if level >= len(self._level_gens):
             return []
-        out = []
-        for g in self._level_gens[level]:
-            if g not in out:
-                out.append(g)
-        return out
+        # an installed residue is never already a generator of its levels
+        return list(map(tuple, self._level_gens[level].tolist()))
 
     def stabilizer_prefix(self, points):
         """Pointwise stabilizer of the listed points, as a new group."""
@@ -250,17 +269,19 @@ class PermGroup:
         return seen
 
     def elements(self):
-        """Iterate all elements; intended for small groups only."""
-        self._ensure_chain()
+        """Iterate all elements as tuples; intended for small groups only.
 
-        def walk(level):
-            if level == len(self._base):
-                yield identity(self.degree)
-                return
-            for h in walk(level + 1):
-                for gamma in sorted(self._transversals[level]):
-                    yield compose(h, self._transversals[level][gamma])
-        return walk(0)
+        An element is a product of one representative per level, the
+        deeper levels applied first; the top level varies fastest.
+        """
+        self._ensure_chain()
+        reps = [T[lookup[(lookup >= 0).nonzero()[0]]]
+                for lookup, T, _ in self._transversals]
+        rows = self._ident[None, :]
+        for T in reversed(reps[1:]):
+            rows = T[:, rows].transpose(1, 0, 2).reshape(-1, self.degree)
+        top = reps[0] if reps else rows
+        return (g for h in rows for g in map(tuple, top[:, h].tolist()))
 
     def is_transitive(self):
         return len(self.orbit(0)) == self.degree if self.degree else True

@@ -39,6 +39,9 @@ def test_loads_rejects_malformed():
         loads("COHCFG v1\ndegree 2\nrank 2\n0 1\n1 0\n\nrank 3\n")
     with pytest.raises(FormatError):
         loads("COHCFG v1\ndegree 0\nrank 0\n0\n")
+    # no cells, so no ids: the declared rank must be 0
+    with pytest.raises(FormatError, match="declared rank"):
+        loads("COHCFG v1\ndegree 0\nrank 5\n")
     # an id below the declared rank is unused; a rank beyond the cell count
     with pytest.raises(FormatError, match="declared rank"):
         loads("COHCFG v1\ndegree 2\nrank 3\n0 2\n2 0\n")
@@ -159,6 +162,21 @@ def test_verify_exit_codes(capsys):
                         "--params", "family=small,trials=5")
     assert code == 0
     assert text.startswith("CLAIM 411958b family=small,seed=0,trials=5 PASS")
+    # an empty corpus or sample proves nothing
+    for claim_id, params in (("201444a", "count=-5"), ("201444a", "count=0"),
+                             ("411958b", "trials=0"), ("411958b", "trials=-1")):
+        code, text, err = run(capsys, "verify", "--claim", claim_id,
+                              "--params", params)
+        assert code == 2, params
+        assert text == "" and err.startswith("error: "), params
+
+
+def test_degree_zero_with_nonzero_rank_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.cohcfg"
+    path.write_text("COHCFG v1\ndegree 0\nrank 5\n")
+    code, text, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert text == "" and "declared rank" in err
 
 
 def test_degree_zero_tensor(tmp_path, capsys):

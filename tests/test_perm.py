@@ -2,9 +2,21 @@ import numpy as np
 import pytest
 
 from cohcfg.cc import CoherentConfiguration
-from cohcfg.perm import (PermGroup, compose, identity, inverse, is_identity,
-                         perm_order)
+from cohcfg import perm
+from cohcfg.perm import PermGroup, identity, perm_order
 from cohcfg.schemes import AffinePlanePoints, ExteriorPairPoints
+
+
+def compose(p, q):
+    """Apply p, then q."""
+    return tuple(q[i] for i in p)
+
+
+def inverse(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
 
 
 def brute_force_closure(gens, degree):
@@ -183,3 +195,149 @@ def test_row_scanned_painter_matches_cell_painter(hollmann8, hollmann16,
     for G in groups:
         expected = CoherentConfiguration(cell_painter(G))
         assert np.array_equal(G.orbitals().colors, expected.colors)
+
+
+# Reference Schreier-Sims: the tuple chain PermGroup built before its
+# levels became numpy rows, frozen here as the oracle for the base, the
+# strong generators of every level and every transversal representative.
+# The base is the prefix, then the least point moved by a remaining
+# generator; transversals grow breadth first, layer by layer in ascending
+# order; each level's Schreier generators are sifted one at a time in
+# (orbit point, generator) order and the first non-identity residue is
+# installed, restarting the check at the level it reached.
+
+def reference_chain(degree, generators, prefix=()):
+    one = identity(degree)
+    gens = []
+    for g in map(tuple, generators):
+        if g != one and g not in gens:
+            gens.append(g)
+    base, levels = list(prefix), [gens]
+    for b in base:
+        levels.append([g for g in levels[-1] if g[b] == b])
+    while levels[-1]:
+        base.append(min(i for g in levels[-1] for i in range(degree) if g[i] != i))
+        levels.append([g for g in levels[-1] if g[base[-1]] == base[-1]])
+    levels.pop()
+
+    def transversal(i):
+        trans, frontier = {base[i]: one}, [base[i]]
+        while frontier:
+            new = []
+            for gamma in frontier:
+                for g in levels[i]:
+                    if g[gamma] not in trans:
+                        trans[g[gamma]] = compose(trans[gamma], g)
+                        new.append(g[gamma])
+            frontier = sorted(new)
+        return trans
+
+    def sift(g, start):
+        for i in range(start, len(base)):
+            rep = trans[i].get(g[base[i]])
+            if rep is None:
+                return i, g
+            g = compose(g, inverse(rep))
+        return len(base), g
+
+    def close(i):
+        trans[i] = transversal(i)
+        for gamma in sorted(trans[i]):
+            for g in levels[i]:
+                u = compose(compose(trans[i][gamma], g), inverse(trans[i][g[gamma]]))
+                j, h = sift(u, i + 1)
+                if h == one:
+                    continue
+                if j == len(base):
+                    base.append(min(x for x in range(degree) if h[x] != x))
+                    levels.append([])
+                    trans.append(None)
+                for k in range(i + 1, j + 1):
+                    levels[k].append(h)
+                    trans[k] = transversal(k)
+                return j
+        return None
+
+    trans = [transversal(i) for i in range(len(base))]
+    i = len(base) - 1
+    while i >= 0:
+        restart = close(i)
+        i = i - 1 if restart is None else restart
+    return base, levels, trans
+
+
+def chain_of(G):
+    """(base, strong generators per level, transversal per level) of G."""
+    base = G.base()
+    levels = [G.strong_generators(i) for i in range(len(base))]
+    trans = [{int(p): tuple(T[lookup[p]].tolist())
+              for p in np.flatnonzero(lookup >= 0)}
+             for lookup, T, _ in G._transversals]
+    return list(base), levels, trans
+
+
+def random_corpus():
+    """30 seeded groups of degree <= 20: degree 0 and 1, the trivial
+    group, repeated and identity generators, full symmetric groups and
+    small subgroups generated by short cycles."""
+    rng = np.random.default_rng(2024)
+    corpus = [(0, []), (1, []), (1, [(0,)]), (6, []),
+              (6, [identity(6), identity(6)]),
+              (7, [tuple((i + 1) % 7 for i in range(7))] * 2 + [identity(7)])]
+    while len(corpus) < 30:
+        n = int(rng.integers(2, 21))
+        gens = []
+        for _ in range(int(rng.integers(1, 4))):
+            if rng.random() < 0.4:
+                g = [int(x) for x in rng.permutation(n)]
+            else:
+                g = list(range(n))
+                cycle = rng.choice(n, size=int(rng.integers(2, min(n, 4) + 1)),
+                                   replace=False).tolist()
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    g[a] = b
+            gens.append(tuple(g))
+        if rng.random() < 0.3:
+            gens += [gens[0], identity(n)]
+        corpus.append((n, gens))
+    return corpus
+
+
+def test_chain_matches_reference_chain(monkeypatch, hollmann8, hollmann16,
+                                       hollmann32, passman_schemes):
+    cases = [(G, prefix) for G in (hollmann8[1], hollmann16[1], hollmann32[1])
+             for prefix in ((), (0,), (0, 1))]
+    for q, (_, G, _) in passman_schemes.items():
+        pts = AffinePlanePoints(q)
+        cases += [(G, ()), (PermGroup(len(pts), pts.frobenius_group_generators()), ())]
+    cases += [(PermGroup(n, gens), prefix) for n, gens in random_corpus()
+              for prefix in ((), (0,))[:1 + (n > 0)]]
+    chunks = (perm.CHUNK, 1, 5)
+    for G, prefix in cases:
+        expected = reference_chain(G.degree, G.generators, prefix)
+        # chunking the Schreier generators must not change the chain
+        for chunk in chunks[:1 if G.degree > 120 else 3]:
+            monkeypatch.setattr(perm, "CHUNK", chunk)
+            chain = PermGroup(G.degree, G.generators, base_prefix=prefix)
+            assert chain_of(chain) == expected
+
+
+def test_order_and_membership_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    Permutation = combinatorics.Permutation
+    rng = np.random.default_rng(7)
+    for n, gens in random_corpus():
+        G = PermGroup(n, gens)
+        oracle = combinatorics.PermutationGroup(
+            [Permutation(list(g)) for g in gens] or [Permutation(list(range(n)))])
+        assert G.order() == oracle.order()
+        words = [identity(n)]
+        for _ in range(3):
+            w = identity(n)
+            for k in rng.integers(0, len(gens), size=5) if gens else []:
+                w = compose(w, gens[k])
+            words.append(w)
+        probes = words + [tuple(int(x) for x in rng.permutation(n)) for _ in range(5)]
+        for p in probes:
+            assert G.contains(p) == oracle.contains(Permutation(list(p)))
+        assert all(G.contains(w) for w in words)
