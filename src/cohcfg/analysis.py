@@ -539,9 +539,8 @@ def _tuple_representatives(aut, prefix, size):
         yield prefix
         return
     stab = aut.stabilizer_prefix(prefix) if prefix else aut
-    seen = set()
+    least = stab.orbit_minima()
     for p in range(aut.degree):
-        if p in prefix or p in seen:
+        if p in prefix or least[p] != p:
             continue
-        seen.update(stab.orbit(p))
         yield from _tuple_representatives(aut, prefix + (p,), size - 1)

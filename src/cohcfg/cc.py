@@ -470,28 +470,9 @@ def algebraic_fusion(cfg, phi_generators):
                 "fusion generator does not preserve the tensor; "
                 f"triple {tuple(int(x) for x in bad)}")
         gens.append(phi)
-    orbit_id = np.full(r, -1, dtype=np.int64)
-    next_id = 0
-    for c in range(r):
-        if orbit_id[c] >= 0:
-            continue
-        orbit_id[c] = next_id
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            for phi in gens:
-                y = phi[x]
-                if orbit_id[y] < 0:
-                    orbit_id[y] = next_id
-                    stack.append(y)
-        next_id += 1
-    fused_raw = orbit_id[cfg.colors]
-    fused = CoherentConfiguration(fused_raw)
-    color_to_fused = np.empty(r, dtype=np.int64)
+    fused = CoherentConfiguration(PermGroup(r, gens).orbit_minima()[cfg.colors])
     fr, fc = cfg._first_cells()
-    for c in range(r):
-        color_to_fused[c] = fused.colors[fr[c], fc[c]]
-    fmap = FusionMap(tuple(int(x) for x in color_to_fused), gens)
+    fmap = FusionMap(tuple(fused.colors[fr, fc].tolist()), gens)
     return fused, fmap
 
 

@@ -118,15 +118,9 @@ def _stabilizer_orders(q):
     cfg, G = large_scheme(q)
     stab = G.point_stabilizer(0)
     rep.require("stabilizer-order", stab.order() == 2 * (q + 1), stab.order())
-    seen = {0}
-    sizes = []
-    for p in range(1, G.degree):
-        if p in seen:
-            continue
-        orb = stab.orbit(p)
-        seen.update(orb)
-        sizes.append(len(orb))
-    rep.require("orbit-sizes", sorted(set(sizes)) == [q + 1], sorted(set(sizes)))
+    sizes = np.bincount(stab.orbit_minima())[1:]   # 0 is fixed
+    sizes = sorted(set(sizes[sizes > 0].tolist()))
+    rep.require("orbit-sizes", sizes == [q + 1], sizes)
     return rep
 
 
@@ -399,6 +393,8 @@ def _bound_corpus(seed=0, count=100):
     the fast path."""
     if count <= 0:
         raise UsageError("count must be positive")
+    if seed < 0:
+        raise UsageError("seed must be nonnegative")
     rep = VerificationReport(claim="201444a", params={"seed": seed, "count": count})
     rng = np.random.default_rng(seed)
     checked = 0
@@ -439,6 +435,8 @@ def _fusion_bound(family="small", seed=0, trials=1000):
     spot-checked on seeded random triples of the base scheme."""
     if trials <= 0:
         raise UsageError("trials must be positive")
+    if seed < 0:
+        raise UsageError("seed must be nonnegative")
     rep = VerificationReport(claim="411958b",
                              params={"family": family, "seed": seed,
                                      "trials": trials})

@@ -18,6 +18,12 @@ from .wl import extend_points
 FAMILIES = ("hollmann-large", "hollmann-small", "passman", "passman-frobenius")
 
 
+def _nonnegative(text):
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -28,7 +34,7 @@ def build_parser():
     parser = _CliParser(prog="cohcfg",
                         description="coherent configurations from "
                                     "permutation-group orbitals")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_nonnegative, default=0,
                         help="seed for randomized spot checks")
     sub = parser.add_subparsers(dest="command", required=True)
 

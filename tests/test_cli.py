@@ -162,13 +162,27 @@ def test_verify_exit_codes(capsys):
                         "--params", "family=small,trials=5")
     assert code == 0
     assert text.startswith("CLAIM 411958b family=small,seed=0,trials=5 PASS")
-    # an empty corpus or sample proves nothing
+    # an empty corpus or sample proves nothing; a seed must be nonnegative
     for claim_id, params in (("201444a", "count=-5"), ("201444a", "count=0"),
-                             ("411958b", "trials=0"), ("411958b", "trials=-1")):
+                             ("411958b", "trials=0"), ("411958b", "trials=-1"),
+                             ("201444a", "seed=-1,count=1"), ("411958b", "seed=-3")):
         code, text, err = run(capsys, "verify", "--claim", claim_id,
                               "--params", params)
         assert code == 2, params
         assert text == "" and err.startswith("error: "), params
+
+
+def test_global_seed_must_be_nonnegative(tmp_path, capsys, hollmann16):
+    # above 100 points the tensor check samples with the global seed
+    path = tmp_path / "h16.cohcfg"
+    write_file(hollmann16[0], path)
+    code, text, _ = run(capsys, "--seed", "5", "analyze", str(path), "--tensor")
+    assert code == 0 and "tensor-row-sums true" in text
+    for seed in ("-1", "x"):
+        code, text, err = run(capsys, "--seed", seed, "analyze", str(path),
+                              "--tensor")
+        assert code == 2, seed
+        assert text == "" and "--seed" in err, seed
 
 
 def test_degree_zero_with_nonzero_rank_exits_2(tmp_path, capsys):

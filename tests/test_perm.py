@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from cohcfg.cc import CoherentConfiguration
 from cohcfg import perm
+from cohcfg.errors import UsageError
 from cohcfg.perm import PermGroup, identity, perm_order
 from cohcfg.schemes import AffinePlanePoints, ExteriorPairPoints
 
@@ -106,6 +109,93 @@ def test_orbits_match_the_group_closure():
             assert G.orbit(p) == sorted({g[p] for g in elements})
 
 
+def test_orbit_rejects_points_out_of_range():
+    C3 = PermGroup(3, [(1, 2, 0)])
+    assert C3.orbit(2) == [0, 1, 2]
+    for G, point in ((C3, -1), (C3, 3), (PermGroup(3, []), 7),
+                     (PermGroup(3, []), 3)):
+        with pytest.raises(UsageError):
+            G.orbit(point)
+
+
+def relabelled(gens, sigma):
+    """The permutations sigma g sigma^-1, i.e. g with each point x
+    renamed sigma[x]."""
+    out = []
+    for g in gens:
+        h = np.empty_like(sigma)
+        h[sigma] = sigma[np.asarray(g)]
+        out.append(h)
+    return out
+
+
+def test_orbit_minima_one_orbit_on_long_cycles_and_paths():
+    # Propagating labels without the root hook needs tens of thousands
+    # of rounds here (15-70 s of CPU); the hooked rounds number about a
+    # dozen (30-45 ms).
+    n = 100_000
+    rng = np.random.default_rng(3)
+    shift = (np.arange(n) + 1) % n
+    even, odd = np.arange(n), np.arange(n)
+    even[0:n - 1:2], even[1:n:2] = np.arange(1, n, 2), np.arange(0, n - 1, 2)
+    odd[1:n - 1:2], odd[2:n:2] = np.arange(2, n, 2), np.arange(1, n - 1, 2)
+    for gens in ([shift], [even, odd]):
+        start = time.process_time()
+        least = perm._orbit_minima(n, relabelled(gens, rng.permutation(n)), 1)
+        assert time.process_time() - start < 3.0
+        assert not least.any()
+    # the pairs of a relabelled m-cycle fall into m orbits of size m
+    m = 317
+    least = perm._orbit_minima(m, relabelled([shift[:m] % m], rng.permutation(m)), 2)
+    assert least.dtype == np.int32
+    sizes = np.bincount(least)
+    assert np.array_equal(sizes[sizes > 0], np.full(m, m))
+
+
+def test_orbit_minima_match_schreier_graph_components():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        gens = []
+        for _ in range(int(rng.integers(0, 4))):
+            g = rng.permutation(n)
+            if rng.random() < 0.5:   # a short cycle instead
+                g = np.arange(n)
+                cycle = rng.choice(n, size=min(n, int(rng.integers(1, 4))),
+                                   replace=False)
+                g[cycle] = np.roll(cycle, 1)
+            gens.append(tuple(int(x) for x in g))
+        for ndim in (1, 2):
+            graph = nx.Graph()
+            graph.add_nodes_from(range(n ** ndim))
+            for g in gens:
+                image = np.asarray(g)
+                if ndim == 2:
+                    image = (image[:, None] * n + image).ravel()
+                graph.add_edges_from(enumerate(image.tolist()))
+            expected = np.empty(n ** ndim, dtype=np.int64)
+            for component in nx.connected_components(graph):
+                expected[list(component)] = min(component)
+            assert np.array_equal(perm._orbit_minima(n, gens, ndim), expected)
+        assert np.array_equal(PermGroup(n, gens).orbit_minima(),
+                              perm._orbit_minima(n, gens, 1))
+
+
+def test_orbitals_of_a_conjugated_group_are_the_relabelled_orbitals(
+        hollmann8, passman_schemes):
+    rng = np.random.default_rng(23)
+    groups = [hollmann8[1], passman_schemes[5][1], PermGroup(6, []),
+              PermGroup(7, [tuple((i + 1) % 7 for i in range(7))])]
+    for G in groups:
+        n = G.degree
+        sigma = rng.permutation(n)
+        H = PermGroup(n, [tuple(h.tolist()) for h in relabelled(G.generators, sigma)])
+        renamed = H.orbitals().colors[np.ix_(sigma, sigma)]
+        assert np.array_equal(CoherentConfiguration(renamed).colors,
+                              G.orbitals().colors)
+
+
 def test_orbit_stabilizer_identity_spot_checks():
     rng = np.random.default_rng(0)
     pts = ExteriorPairPoints(8)
@@ -188,10 +278,11 @@ def cell_painter(G):
 
 
 def test_row_scanned_painter_matches_cell_painter(hollmann8, hollmann16,
-                                                  passman_schemes):
+                                                  small8, passman_schemes):
     groups = [PermGroup(40, []),
               PermGroup(12, [tuple((i + 1) % 12 for i in range(12))]),
-              hollmann8[1], hollmann16[1], passman_schemes[5][1]]
+              hollmann8[1], hollmann16[1], passman_schemes[5][1], small8[1],
+              PermGroup(25, AffinePlanePoints(5).frobenius_group_generators())]
     for G in groups:
         expected = CoherentConfiguration(cell_painter(G))
         assert np.array_equal(G.orbitals().colors, expected.colors)
