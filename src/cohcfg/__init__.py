@@ -14,7 +14,7 @@ from .analysis import (AutGroup, automorphism_group, base_number,
 from .claims import known_claims, verify_claim
 from .errors import (ColorActionError, FormatError, IntegrityError,
                      ResourceLimitError, UsageError)
-from .gf import Field, FieldElement, QuadExtension
+from .gf import Field, QuadExtension
 from .perm import PermGroup
 from .report import VerificationReport
 from .schemes import (hollmann_large, hollmann_small, passman_scheme,
@@ -23,7 +23,7 @@ from .wl import coherent_closure, extend_points, two_extension
 
 __all__ = [
     "AutGroup", "CoherentConfiguration", "ColorActionError", "Field",
-    "FieldElement", "FormatError", "FusionMap", "IntegrityError",
+    "FormatError", "FusionMap", "IntegrityError",
     "IntersectionTensor", "PermGroup", "QuadExtension",
     "ResourceLimitError", "UsageError", "VerificationReport",
     "algebraic_fusion", "automorphism_group", "base_number",

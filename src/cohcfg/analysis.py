@@ -12,6 +12,12 @@ an imbalance prunes the branch, and a fully matched diagonal forces f,
 which is then verified cell by cell.  Individualization order branches
 on the largest unmatched diagonal class, candidates in point order.
 
+There is one search per kind of bijection.  Point bijections come from
+the generator `_DoubledSearch.leaves`; the automorphism generators and
+`find_inducing_bijection` take its first result, the unpruned oracle
+counts all of them.  Color bijections come from `cc.tensor_bijections`,
+which `algebraic_automorphisms` lists in full.
+
 Search nodes stabilize without the exact coherence certificate
 (``stabilize(..., certify=False)``).  As in the individualization-
 refinement framework of McKay and Piperno, "Practical graph isomorphism,
@@ -26,15 +32,14 @@ a collision can only make the search visit more nodes, and every leaf
 bijection is still verified cell by cell.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cc import CoherentConfiguration
+from .cc import tensor_bijections
 from .errors import ResourceLimitError, UsageError
 from .gf import Field
-from .perm import PermGroup, perm_order
+from .perm import PermGroup
 from .report import VerificationReport
 from .wl import extend_points, stabilize
 
@@ -224,16 +229,17 @@ class _DoubledSearch:
         c21 = np.bincount(U[n:, :n].ravel(), minlength=r)
         return np.array_equal(c12, c21)
 
-    def _branch_class(self, U):
-        """Largest copy-1 diagonal class with at least two points."""
-        n = self.n
-        d1 = U.diagonal()[:n]
-        classes, counts = np.unique(d1, return_counts=True)
+    def _branch_point(self, U):
+        """Least point of the largest copy-1 diagonal class with at least
+        two points, or None when every class is a singleton."""
+        d1 = U.diagonal()[:self.n]
+        classes, first, counts = np.unique(d1, return_index=True,
+                                           return_counts=True)
         big = counts >= 2
         if not big.any():
             return None
         best = np.lexsort((classes[big], -counts[big]))[0]
-        return int(classes[big][best])
+        return int(first[big][best])
 
     def _extract(self, U):
         """Forced bijection when every diagonal class is matched 1-1."""
@@ -269,52 +275,31 @@ class _DoubledSearch:
         d2 = U.diagonal()[n:]
         return [int(v) for v in np.flatnonzero(d2 == cls)]
 
-    def first_success(self, U):
-        """Depth-first search for one consistent bijection below U."""
+    def leaves(self, U):
+        """Verified bijections below U, depth first, candidates in point
+        order."""
         if not self._balanced(U):
-            return None
-        cls = self._branch_class(U)
-        if cls is None:
+            return
+        u = self._branch_point(U)
+        if u is None:
             f = self._extract(U)
             if f is not None and self._verified(f):
-                return f
-            return None
-        d1 = U.diagonal()[:self.n]
-        u = int(np.flatnonzero(d1 == cls)[0])
+                yield f
+            return
         for v in self.candidates(U, u):
-            got = self.first_success(self._individualize(U, u, v))
-            if got is not None:
-                return got
-        return None
+            yield from self.leaves(self._individualize(U, u, v))
 
     def identity_path(self):
         """States and branch points along the all-identity descent."""
         states, points = [], []
         U = self.root
         while True:
-            cls = self._branch_class(U)
-            if cls is None:
+            u = self._branch_point(U)
+            if u is None:
                 return states, points
-            d1 = U.diagonal()[:self.n]
-            u = int(np.flatnonzero(d1 == cls)[0])
             states.append(U)
             points.append(u)
             U = self._individualize(U, u, u)
-
-    def all_successes(self, U, out):
-        """Exhaustive enumeration (the unpruned oracle)."""
-        if not self._balanced(U):
-            return
-        cls = self._branch_class(U)
-        if cls is None:
-            f = self._extract(U)
-            if f is not None and self._verified(f):
-                out.add(tuple(int(x) for x in f))
-            return
-        d1 = U.diagonal()[:self.n]
-        u = int(np.flatnonzero(d1 == cls)[0])
-        for v in self.candidates(U, u):
-            self.all_successes(self._individualize(U, u, v), out)
 
 
 def _generic_automorphism_generators(cfg):
@@ -325,8 +310,8 @@ def _generic_automorphism_generators(cfg):
     points too and the generators span a subgroup of their stabilizer:
     a candidate image v of the branch point u that already lies in the
     orbit of u under them is skipped.  Each remaining candidate
-    contributes at most one new generator.  The orbit is computed once
-    per level and again after each new generator.
+    contributes at most one new generator.  The orbit minima are
+    computed once per level and again after each new generator.
     """
     search = _DoubledSearch(cfg)
     states, points = search.identity_path()
@@ -334,14 +319,14 @@ def _generic_automorphism_generators(cfg):
     gens = []
     for k in reversed(range(len(points))):
         U, u = states[k], points[k]
-        orbit = set(PermGroup(n, gens).orbit(u))
+        least = PermGroup(n, gens).orbit_minima()
         for v in search.candidates(U, u):
-            if v in orbit:
+            if least[v] == least[u]:
                 continue
-            f = search.first_success(search._individualize(U, u, v))
+            f = next(search.leaves(search._individualize(U, u, v)), None)
             if f is not None:
-                gens.append(tuple(int(x) for x in f))
-                orbit = set(PermGroup(n, gens).orbit(u))
+                gens.append(tuple(f.tolist()))
+                least = PermGroup(n, gens).orbit_minima()
     return gens
 
 
@@ -350,9 +335,7 @@ def automorphism_count_oracle(cfg):
     if cfg.degree > SEPARABILITY_DEGREE_LIMIT:
         raise ResourceLimitError("oracle guard: degree too large")
     search = _DoubledSearch(cfg)
-    out = set()
-    search.all_successes(search.root, out)
-    return len(out)
+    return len({tuple(f.tolist()) for f in search.leaves(search.root)})
 
 
 # ---------------------------------------------------------------------------
@@ -372,67 +355,28 @@ def is_schurian(cfg, known=None):
 def algebraic_automorphisms(cfg):
     """All color bijections preserving the intersection tensor.
 
-    Backtracking over color images in id order; partial assignments must
-    already respect reflexivity, valencies, the transpose pairing and
-    every fully assigned tensor triple.  Guarded by rank and degree.
+    Enumerated by `tensor_bijections` in lexicographic order, each color
+    allowed onto the colors of its reflexivity and valency.  The transpose
+    pairing needs no check of its own: c_{s s'}^{1} is nonzero exactly
+    when s' = s*, so a tensor-preserving bijection that keeps reflexive
+    colors reflexive also keeps transposes.  Guarded by rank and degree.
     """
     if cfg.rank > SEPARABILITY_RANK_LIMIT or cfg.degree > SEPARABILITY_DEGREE_LIMIT:
         raise ResourceLimitError(
             "algebraic automorphism enumeration guard: "
             f"rank {cfg.rank} > {SEPARABILITY_RANK_LIMIT} or degree "
             f"{cfg.degree} > {SEPARABILITY_DEGREE_LIMIT}")
-    r = cfg.rank
     values = cfg.tensor().values
+    refl = np.array([cfg.is_reflexive(s) for s in range(cfg.rank)])
     v = cfg.valencies()
-    tmap = cfg.transpose_map()
-    refl = [cfg.is_reflexive(s) for s in range(r)]
-    out = []
-    image = [-1] * r
-    used = [False] * r
-
-    def ok(k):
-        # transpose pairing, then every fully assigned triple involving k
-        for a in range(k + 1):
-            if image[a] < 0:
-                continue
-            ta = int(tmap[a])
-            if ta <= k and image[ta] >= 0 and image[ta] != int(tmap[image[a]]):
-                return False
-        for a in range(k + 1):
-            for b in range(k + 1):
-                for c in range(k + 1):
-                    if image[a] < 0 or image[b] < 0 or image[c] < 0:
-                        continue
-                    if k not in (a, b, c):
-                        continue
-                    if values[c, a, b] != values[image[c], image[a], image[b]]:
-                        return False
-        return True
-
-    def backtrack(k):
-        if k == r:
-            out.append(tuple(image))
-            return
-        for cand in range(r):
-            if used[cand]:
-                continue
-            if refl[k] != refl[cand] or v[k] != v[cand]:
-                continue
-            image[k] = cand
-            used[cand] = True
-            if ok(k):
-                backtrack(k + 1)
-            image[k] = -1
-            used[cand] = False
-
-    backtrack(0)
-    return out
+    allowed = (refl[:, None] == refl) & (v[:, None] == v)
+    return list(tensor_bijections(values, values, allowed))
 
 
 def find_inducing_bijection(cfg, phi):
     """Point bijection f with color(f a, f b) = phi(color(a, b)), or None."""
     search = _DoubledSearch(cfg, phi=phi)
-    f = search.first_success(search.root)
+    f = next(search.leaves(search.root), None)
     return None if f is None else tuple(int(x) for x in f)
 
 

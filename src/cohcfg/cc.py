@@ -230,6 +230,8 @@ class CoherentConfiguration:
         mismatch means the matrix was not coherent and raises
         IntegrityError naming the triple.
         """
+        if seed < 0:
+            raise UsageError("seed must be nonnegative")
         if self._tensor is not None and verify is None:
             return self._tensor
         if self.rank > TENSOR_RANK_LIMIT:
@@ -443,6 +445,38 @@ class IntersectionTensor:
                     if not (x == y == z):
                         return False, (r, s, t)
         return True, None
+
+
+def tensor_bijections(A, B, allowed):
+    """Bijections phi of range(r) carrying tensor A onto tensor B.
+
+    Yields, in lexicographic order, every phi with allowed[k, phi[k]] for
+    all k and A[c, a, b] == B[phi[c], phi[a], phi[b]] for every triple.
+    Index k is assigned after 0..k-1, and each candidate image is checked
+    on the three slices of triples whose largest index is k, so a branch
+    compares every triple once.
+    """
+    allowed = np.asarray(allowed, dtype=bool)
+    r = allowed.shape[0]
+    image = np.zeros(r, dtype=np.int64)
+    used = np.zeros(r, dtype=bool)
+
+    def extend(k):
+        if k == r:
+            yield tuple(image.tolist())
+            return
+        p = image[:k + 1]
+        q = p[:, None]
+        for cand in np.flatnonzero(allowed[k] & ~used):
+            image[k] = cand
+            if (np.array_equal(A[k, :k + 1, :k + 1], B[cand, q, p])
+                    and np.array_equal(A[:k + 1, k, :k + 1], B[q, cand, p])
+                    and np.array_equal(A[:k + 1, :k + 1, k], B[q, p, cand])):
+                used[cand] = True
+                yield from extend(k + 1)
+                used[cand] = False
+
+    yield from extend(0)
 
 
 def algebraic_fusion(cfg, phi_generators):

@@ -13,10 +13,10 @@ import time
 
 import numpy as np
 
-from .analysis import (automorphism_group, base_number, check_bound_201444a,
+from .analysis import (automorphism_group, check_bound_201444a,
                        check_cor_423939b, is_schurian, is_separable_small,
                        matching_graph)
-from .cc import CoherentConfiguration, algebraic_fusion, induced_color_action
+from .cc import algebraic_fusion, induced_color_action
 from .errors import UsageError
 from .gf import Field
 from .perm import PermGroup, perm_order

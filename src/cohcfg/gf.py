@@ -278,9 +278,6 @@ class Field:
             raise UsageError("trace-zero hyperplane is used in characteristic 2 only")
         return [a for a in range(self.q) if self._trace[a] == 0]
 
-    def element(self, code):
-        return FieldElement(self, int(code))
-
     def __repr__(self):
         return f"Field(p={self.p}, d={self.d}, modulus={self.modulus})"
 
@@ -290,69 +287,6 @@ class Field:
 
     def __hash__(self):
         return hash((self.p, self.d, self.modulus))
-
-
-class FieldElement:
-    """Convenience wrapper with operator syntax around a code in a Field."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field, code):
-        self.field = field
-        self.code = code
-
-    def _lift(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise UsageError("elements belong to different fields")
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._lift(other)
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._lift(other)
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __mul__(self, other):
-        c = self._lift(other)
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._lift(other)
-        return FieldElement(self.field, self.field.div(self.code, c))
-
-    def __pow__(self, k):
-        return FieldElement(self.field, self.field.pow(self.code, k))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def frobenius(self):
-        return FieldElement(self.field, self.field.frob(self.code))
-
-    def trace(self):
-        return self.field.trace(self.code)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.code == other % self.field.p if other in (0, 1) else self.code == other
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.code == other.code)
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __repr__(self):
-        return f"<{self.code} in GF({self.field.q})>"
 
 
 class QuadExtension:

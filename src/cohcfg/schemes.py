@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .cc import CoherentConfiguration, algebraic_fusion, induced_color_action
+from .cc import algebraic_fusion, induced_color_action, tensor_bijections
 from .errors import UsageError
 from .gf import Field, QuadExtension, is_prime
 from .perm import PermGroup
@@ -272,7 +272,11 @@ def trace_label_check(q, tensor=None):
     Triples with reflexive target are excluded from the biconditional:
     there c_{s_x s_y}^{s_0} is n_{s_x} [x = y], never 1, while the
     right-hand side holds at (x, x, 0); the check asserts that shape
-    separately.  Returns a report carrying the bijection found.
+    separately.  The labeling is the first bijection `tensor_bijections`
+    yields between the 0/1 tensor of the right-hand side, indexed by the
+    sorted trace-zero elements, and the tensor of "c = 1", both with the
+    reflexive target cleared and 0 sent to the reflexive color.  Returns
+    a report carrying the bijection found.
     """
     if q not in (8, 16, 32):
         raise UsageError("trace labeling is checked for q in (8, 16, 32)")
@@ -282,7 +286,6 @@ def trace_label_check(q, tensor=None):
     values = tensor.values
     field = Field(2, q.bit_length() - 1)
     t0 = field.trace_zero()
-    nonzero = [x for x in t0 if x != 0]
     colors = list(range(cfg.rank))
     reflexive = [s for s in colors if cfg.is_reflexive(s)][0]
     irreflexive = [s for s in colors if s != reflexive]
@@ -295,45 +298,21 @@ def trace_label_check(q, tensor=None):
         for r in irreflexive for s in irreflexive)
     rep.require("reflexive-target-shape", refl_ok)
 
-    trace01 = {(x, z): field.trace(field.mul(x, z)) for x in t0 for z in t0}
-
-    assignment = {0: reflexive}
-    used = set()
-
-    def consistent(x):
-        """Check all fully assigned triples involving x, with z != 0."""
-        items = list(assignment.items())
-        for a, sa in items:
-            for b, sb in items:
-                for c, sc in items:
-                    if c == 0 or x not in (a, b, c):
-                        continue
-                    want = (trace01[(a, c)] == 0
-                            and field.add(field.add(a, b), c) == 0)
-                    got = int(values[sc, sa, sb]) == 1
-                    if want != got:
-                        return False
-        return True
-
-    def backtrack(i):
-        if i == len(nonzero):
-            return True
-        x = nonzero[i]
-        for s in irreflexive:
-            if s in used:
-                continue
-            assignment[x] = s
-            used.add(s)
-            if consistent(x) and backtrack(i + 1):
-                return True
-            del assignment[x]
-            used.discard(s)
-        return False
-
-    found = backtrack(0)
-    rep.require("bijection-found", found)
-    if found:
-        rep.witnesses["bijection"] = {x: assignment[x] for x in t0}
+    # A[c, a, b]: the right-hand side for elements t0[a], t0[b], t0[c];
+    # B[s, r, r']: c_{r r'}^{s} == 1; reflexive targets are left out of both
+    t = np.asarray(t0)
+    A = ((field._trace[field._mul[t[:, None], t]] == 0)[:, :, None]
+         & ((t[:, None, None] ^ t[:, None] ^ t) == 0))
+    A[0] = False
+    B = values == 1
+    B[reflexive] = False
+    allowed = np.zeros((len(t0), cfg.rank), dtype=bool)
+    allowed[0, reflexive] = True
+    allowed[1:, irreflexive] = True
+    phi = next(tensor_bijections(A, B, allowed), None)
+    rep.require("bijection-found", phi is not None)
+    if phi is not None:
+        rep.witnesses["bijection"] = dict(zip(t0, phi))
     return rep
 
 

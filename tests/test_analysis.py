@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,108 @@ def test_schurian(hollmann8, passman_schemes):
 def test_algebraic_automorphisms_trivial_scheme():
     triv = trivial_scheme(9)
     assert algebraic_automorphisms(triv) == [(0, 1)]
+
+
+# Reference enumeration: the triple-loop backtrack algebraic_automorphisms
+# ran before `tensor_bijections`, frozen here as the oracle for the list
+# and its order.  Color images are tried in id order; a partial
+# assignment must respect reflexivity, valencies, the transpose pairing
+# and every triple that involves the newest color.  Colors 0..k are all
+# assigned at step k, so the old loop's tests for unassigned entries are
+# left out.
+
+def reference_algebraic_automorphisms(cfg):
+    r = cfg.rank
+    values = cfg.tensor().values
+    v = cfg.valencies()
+    tmap = cfg.transpose_map()
+    refl = [cfg.is_reflexive(s) for s in range(r)]
+    out = []
+    image = [-1] * r
+    used = [False] * r
+
+    def ok(k):
+        for a in range(k + 1):
+            ta = int(tmap[a])
+            if ta <= k and image[ta] != int(tmap[image[a]]):
+                return False
+        for a in range(k + 1):
+            for b in range(k + 1):
+                for c in range(k + 1):
+                    if k in (a, b, c) and \
+                       values[c, a, b] != values[image[c], image[a], image[b]]:
+                        return False
+        return True
+
+    def backtrack(k):
+        if k == r:
+            out.append(tuple(image))
+            return
+        for cand in range(r):
+            if used[cand] or refl[k] != refl[cand] or v[k] != v[cand]:
+                continue
+            image[k] = cand
+            used[cand] = True
+            if ok(k):
+                backtrack(k + 1)
+            image[k] = -1
+            used[cand] = False
+
+    backtrack(0)
+    return out
+
+
+def seeded_corpus(max_rank, count, seed):
+    """Orbital configurations of relabelled cyclic, dihedral and random
+    groups on 4..12 points, and their one-point extensions, up to the
+    given rank."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(4, 13))
+        cycle = np.roll(np.arange(n), -int(rng.integers(1, n)))
+        flip = -np.arange(n) % n
+        base = [[cycle, flip], [cycle], [rng.permutation(n)]][len(out) % 3]
+        relabel = rng.permutation(n)
+        gens = []
+        for g in base:
+            h = np.empty(n, dtype=np.int64)
+            h[relabel] = relabel[g]
+            gens.append(tuple(h.tolist()))
+        cfg = PermGroup(n, gens).orbitals()
+        ext = extend_points(cfg, [int(rng.integers(0, n))])
+        out += [c for c in (cfg, ext) if c.rank <= max_rank]
+    return out[:count]
+
+
+def test_algebraic_automorphisms_match_the_reference_backtrack(
+        monkeypatch, hollmann8, passman_schemes):
+    monkeypatch.setattr(analysis, "SEPARABILITY_RANK_LIMIT", 13)
+    xa = extend_points(hollmann8[0], [0])
+    delta = [f for f in xa.fibers() if len(f) > 1][0]
+    named = [hollmann8[0], xa.restriction(delta.tolist()), trivial_scheme(5),
+             thin_scheme(7), dihedral(6).orbitals(), passman_schemes[3][0],
+             passman_schemes[3][2], passman_schemes[5][0]]
+    corpus = named + seeded_corpus(13, 30, seed=3)
+    assert max(cfg.rank for cfg in corpus) == 13
+    for cfg in corpus:
+        got = algebraic_automorphisms(cfg)
+        assert got == reference_algebraic_automorphisms(cfg)
+        assert got == sorted(got) and tuple(range(cfg.rank)) in got
+    assert len(algebraic_automorphisms(thin_scheme(7))) == 6
+
+
+def test_algebraic_automorphisms_match_brute_force_permutations():
+    # independent of any search: every permutation of the colors that
+    # leaves the tensor unchanged, tried one by one
+    corpus = [trivial_scheme(4), thin_scheme(6), dihedral(5).orbitals()]
+    corpus += seeded_corpus(7, 20, seed=5)
+    assert max(cfg.rank for cfg in corpus) == 7
+    for cfg in corpus:
+        values = cfg.tensor().values
+        brute = [p for p in itertools.permutations(range(cfg.rank))
+                 if np.array_equal(values[np.ix_(p, p, p)], values)]
+        assert algebraic_automorphisms(cfg) == brute
 
 
 def test_separable_trivial_and_partly_regular(passman_schemes):

@@ -4,7 +4,7 @@ import pytest
 from cohcfg.cc import (CoherentConfiguration, algebraic_fusion,
                        canonicalize_colors, cells_by_color, color_classes,
                        first_occurrence_relabel, induced_color_action,
-                       same_partition)
+                       same_partition, tensor_bijections)
 from cohcfg.errors import (ColorActionError, IntegrityError,
                            ResourceLimitError, UsageError)
 from cohcfg.perm import PermGroup
@@ -87,6 +87,45 @@ def test_tensor_detects_incoherence():
     with pytest.raises(IntegrityError) as err:
         cfg.tensor(verify="full")
     assert err.value.triple is not None
+
+
+def test_tensor_rejects_negative_seed(hollmann16):
+    # a fresh copy has no cached tensor, and 120 points take the sampled route
+    cfg = CoherentConfiguration(hollmann16[0].colors)
+    with pytest.raises(UsageError):
+        cfg.tensor(seed=-1)
+    with pytest.raises(UsageError):
+        thin_scheme(5).tensor(verify="full", seed=-2)
+
+
+def test_tensor_bijections_of_a_cyclic_group_are_its_automorphisms():
+    # the thin scheme of Z_5 has c_{a b}^{c} = [c = a + b], so the
+    # tensor-preserving bijections are x -> kx, in lexicographic order
+    values = thin_scheme(5).tensor().values
+    allowed = np.ones((5, 5), dtype=bool)
+    found = list(tensor_bijections(values, values, allowed))
+    assert found == [tuple(k * x % 5 for x in range(5)) for k in (1, 2, 3, 4)]
+    allowed[:, 0] = False
+    allowed[0, 0] = True
+    allowed[1, 3] = False   # drops x -> 3x only
+    assert list(tensor_bijections(values, values, allowed)) == [found[0], found[1], found[3]]
+    allowed[2] = False   # an empty row leaves nothing to yield
+    assert list(tensor_bijections(values, values, allowed)) == []
+
+
+def test_tensor_bijections_between_two_tensors():
+    # B is A relabelled by sigma, so the bijections A -> B are sigma
+    # composed with the automorphisms, and a mismatch yields nothing
+    A = thin_scheme(5).tensor().values
+    sigma = np.array([0, 3, 1, 4, 2])
+    B = np.empty_like(A)
+    B[np.ix_(sigma, sigma, sigma)] = A
+    allowed = np.ones((5, 5), dtype=bool)
+    auts = list(tensor_bijections(A, A, allowed))
+    got = list(tensor_bijections(A, B, allowed))
+    assert got == sorted(tuple(sigma[list(a)].tolist()) for a in auts)
+    assert all(np.array_equal(A, B[np.ix_(p, p, p)]) for p in map(list, got))
+    assert list(tensor_bijections(A, B + (B == 0), allowed)) == []
 
 
 def test_tensor_identities(hollmann8, passman_schemes):

@@ -82,13 +82,6 @@ def test_inverse_and_zero_division():
             F.pow(0, -1)
 
 
-def test_mixed_field_elements_rejected():
-    a = Field(2, 3).element(3)
-    b = Field(2, 4).element(3)
-    with pytest.raises(UsageError):
-        a + b
-
-
 def test_traces_gf8():
     F = Field(2, 3)
     assert F.trace(0) == 0
@@ -156,12 +149,11 @@ def test_fixed_moduli_are_verified_irreducible():
 
 def test_element_wrapper_arithmetic():
     F = Field(5, 1)
-    a, b = F.element(2), F.element(4)
-    assert (a + b).code == 1
-    assert (a * b).code == 3
-    assert (a / b).code == F.mul(2, F.inv(4))
-    assert (a ** 4).code == 1
-    assert a.frobenius() == a
+    assert F.add(2, 4) == 1
+    assert F.mul(2, 4) == 3
+    assert F.div(2, 4) == F.mul(2, F.inv(4)) == 3
+    assert F.pow(2, 4) == 1
+    assert F.frob(2) == 2
 
 
 def test_quad_extension_conjugation_and_norm():
