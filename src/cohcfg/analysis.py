@@ -14,9 +14,9 @@ on the largest unmatched diagonal class, candidates in point order.
 
 There is one search per kind of bijection.  Point bijections come from
 the generator `_DoubledSearch.leaves`; the automorphism generators and
-`find_inducing_bijection` take its first result, the unpruned oracle
-counts all of them.  Color bijections come from `cc.tensor_bijections`,
-which `algebraic_automorphisms` lists in full.
+`find_inducing_bijection` take its first result.  Color bijections come
+from `cc.tensor_bijections`, which `algebraic_automorphisms` lists in
+full.
 
 Search nodes stabilize without the exact coherence certificate
 (``stabilize(..., certify=False)``).  As in the individualization-
@@ -165,34 +165,21 @@ def automorphism_group(cfg, known=None):
 def _partly_regular_automorphisms(cfg, alpha):
     """All automorphisms, via matching-following from a regular point.
 
-    An automorphism is pinned down by the image a' of alpha: the image of
-    beta must be the unique point seen from a' in the color of
-    (alpha, beta).  All candidate seeds are tried and verified cell-wise.
+    An automorphism f maps row alpha onto a permutation of itself in row
+    f(alpha), and alpha sees each color once, so f is pinned down by
+    that image: f[argsort(M[alpha])] = argsort(M[f(alpha)]).  Every point
+    whose sorted row equals alpha's is tried as the image, and each
+    candidate is verified cell-wise.
     """
     M = cfg.colors
-    n = cfg.degree
-    row = M[alpha]
+    rows = np.sort(M, axis=1)
+    order = np.argsort(M[alpha])
     out = []
-    for seed in range(n):
-        target = M[seed]
-        pos = {}
-        ok = True
-        for b, s in enumerate(target.tolist()):
-            if s in pos:
-                pos[s] = None
-            else:
-                pos[s] = b
-        f = np.empty(n, dtype=np.int64)
-        for b in range(n):
-            p = pos.get(int(row[b]))
-            if p is None:
-                ok = False
-                break
-            f[b] = p
-        if not ok or len(set(f.tolist())) != n:
-            continue
+    for seed in np.flatnonzero((rows == rows[alpha]).all(axis=1)):
+        f = np.empty(cfg.degree, dtype=np.int64)
+        f[order] = np.argsort(M[seed])
         if _verify_automorphism(cfg, f):
-            out.append(tuple(int(x) for x in f))
+            out.append(tuple(f.tolist()))
     return out
 
 
@@ -328,14 +315,6 @@ def _generic_automorphism_generators(cfg):
                 gens.append(tuple(f.tolist()))
                 least = PermGroup(n, gens).orbit_minima()
     return gens
-
-
-def automorphism_count_oracle(cfg):
-    """Count automorphisms by exhaustive unpruned search (small inputs)."""
-    if cfg.degree > SEPARABILITY_DEGREE_LIMIT:
-        raise ResourceLimitError("oracle guard: degree too large")
-    search = _DoubledSearch(cfg)
-    return len({tuple(f.tolist()) for f in search.leaves(search.root)})
 
 
 # ---------------------------------------------------------------------------

@@ -369,18 +369,6 @@ class CoherentConfiguration:
                 out.append(s)
         return out
 
-    def compose_colors(self, r, s):
-        """Dot product r . s as a boolean cell matrix."""
-        if self.target_fiber(r) != self.source_fiber(s):
-            raise UsageError("dot product fibers do not compose")
-        A = (self.colors == r)
-        B = (self.colors == s)
-        return (A.astype(np.int64) @ B.astype(np.int64)) > 0
-
-    def relation_colors(self, cells):
-        """Colors occurring on a boolean cell matrix."""
-        return sorted(int(c) for c in np.unique(self.colors[cells]))
-
     def m_t(self, t):
         """Largest intersection number with target color t."""
         if self.is_reflexive(t):
@@ -430,20 +418,6 @@ class IntersectionTensor:
                 expect = int(nt[r]) * int(nt[s])
                 if lhs[r, s] not in (0, expect):
                     return False, (r, s)
-        return True, None
-
-    def triangle_identity_ok(self, transpose):
-        """n_t c_{rs}^{t*} = n_r c_{st}^{r*} = n_s c_{tr}^{s*} (homogeneous)."""
-        v = self.values.astype(np.int64)
-        n = self.valencies.astype(np.int64)
-        for r in range(self.rank):
-            for s in range(self.rank):
-                for t in range(self.rank):
-                    x = n[t] * v[transpose[t], r, s]
-                    y = n[r] * v[transpose[r], s, t]
-                    z = n[s] * v[transpose[s], t, r]
-                    if not (x == y == z):
-                        return False, (r, s, t)
         return True, None
 
 

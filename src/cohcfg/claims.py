@@ -164,6 +164,7 @@ def _matchings(q):
     extension admits a matching; where the trace form vanishes the
     matching is re-derived inside the labeled relation."""
     rep = VerificationReport(claim="170520w1", params={"q": q})
+    label = trace_label_check(q)   # refuses an unsupported q before any work
     cfg, _ = large_scheme(q)
     xa = extension("large", q, [0])
     fibers = xa.fibers()
@@ -179,7 +180,6 @@ def _matchings(q):
     # labeled witness route: fibers are alpha s_x; for Tr(x y) = 0 the
     # relation s_{x+y} cut down to fiber_x x fiber_y is itself a matching
     # and a relation of the extension
-    label = trace_label_check(q)
     if label.passed:
         field = Field(2, q.bit_length() - 1)
         bij = label.witnesses["bijection"]

@@ -211,11 +211,6 @@ class Field:
             return a ^ b
         return int(self._add[a, b])
 
-    def sub(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        return int(self._add[a, self._neg[b]])
-
     def neg(self, a):
         return int(self._neg[a])
 
@@ -226,9 +221,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
         return int(self._inv[a])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, k):
         if a == 0:
@@ -243,9 +235,6 @@ class Field:
             base = self.mul(base, base)
             k >>= 1
         return out
-
-    def frob(self, a):
-        return int(self._frob[a])
 
     def trace(self, a):
         """Absolute trace a + a^p + ... + a^(p^(d-1)), a code in GF(p)."""
@@ -280,13 +269,6 @@ class Field:
 
     def __repr__(self):
         return f"Field(p={self.p}, d={self.d}, modulus={self.modulus})"
-
-    def __eq__(self, other):
-        return (isinstance(other, Field)
-                and (self.p, self.d, self.modulus) == (other.p, other.d, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.d, self.modulus))
 
 
 class QuadExtension:

@@ -276,8 +276,15 @@ class PermGroup:
             if not 0 <= a < self.degree:
                 raise UsageError("point out of range")
         chain = PermGroup(self.degree, self.generators, base_prefix=points)
-        gens = chain.strong_generators(len(points))
-        return PermGroup(self.degree, gens)
+        k = len(points)
+        stab = PermGroup(self.degree, chain.strong_generators(k))
+        # the prefix chain's levels from k down are a complete chain of stab
+        stab._ident = chain._ident
+        stab._base = chain._base[k:]
+        stab._level_gens = chain._level_gens[k:]
+        stab._transversals = chain._transversals[k:]
+        stab._chain_ready = True
+        return stab
 
     def point_stabilizer(self, alpha):
         return self.stabilizer_prefix((alpha,))
@@ -293,16 +300,6 @@ class PermGroup:
         least = self.orbit_minima()
         return np.flatnonzero(least == least[point]).tolist()
 
-    def orbit_of_pair(self, pair):
-        """Orbit of one ordered pair, as a set of pairs."""
-        a, b = pair
-        n = self.degree
-        if not (0 <= a < n and 0 <= b < n):
-            raise UsageError("pair out of range")
-        least = _orbit_minima(n, self.generators, 2)
-        rows, cols = np.divmod(np.flatnonzero(least == least[a * n + b]), n)
-        return set(zip(rows.tolist(), cols.tolist()))
-
     def elements(self):
         """Iterate all elements as tuples; intended for small groups only.
 
@@ -317,9 +314,6 @@ class PermGroup:
             rows = T[:, rows].transpose(1, 0, 2).reshape(-1, self.degree)
         top = reps[0] if reps else rows
         return (g for h in rows for g in map(tuple, top[:, h].tolist()))
-
-    def is_transitive(self):
-        return not self.orbit_minima().any()
 
     def orbitals(self):
         """Partition of point pairs into orbits, as a CoherentConfiguration.

@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from cohcfg import analysis, wl
-from cohcfg.analysis import (automorphism_group, automorphism_count_oracle,
-                             base_number, check_bound_201444a,
+from cohcfg import analysis, claims, wl
+from cohcfg.analysis import (automorphism_group, base_number, check_bound_201444a,
                              check_cor_423939b, find_inducing_bijection,
                              algebraic_automorphisms, is_schurian,
                              is_separable_small, matching_graph)
@@ -16,6 +15,28 @@ from cohcfg.wl import extend_points
 
 from test_cc import thin_scheme, trivial_scheme
 from test_wl import dihedral, record_stabilize
+
+
+def automorphism_count_oracle(cfg):
+    """Number of automorphisms: the distinct leaves of the doubled search
+    without generator pruning.  Its time grows with the group order, so
+    it is for small groups only."""
+    search = analysis._DoubledSearch(cfg)
+    return len({tuple(f.tolist()) for f in search.leaves(search.root)})
+
+
+def networkx_automorphism_count(nx, cfg):
+    """Number of automorphisms as VF2 counts them on the colored complete
+    digraph: node colors from the diagonal, edge colors off it."""
+    M = cfg.colors.tolist()
+    G = nx.DiGraph()
+    G.add_nodes_from((a, {"c": row[a]}) for a, row in enumerate(M))
+    G.add_edges_from((a, b, {"c": c}) for a, row in enumerate(M)
+                     for b, c in enumerate(row) if a != b)
+    same = lambda x, y: x["c"] == y["c"]
+    matcher = nx.algorithms.isomorphism.DiGraphMatcher(G, G, node_match=same,
+                                                       edge_match=same)
+    return sum(1 for _ in matcher.isomorphisms_iter())
 
 
 def test_matching_graph_d3_is_edgeless():
@@ -76,6 +97,19 @@ def test_aut_hollmann8(hollmann8):
         assert aut.group.contains(g)
 
 
+def test_unpruned_oracle_matches_networkx(hollmann8, passman_schemes):
+    # an isomorphism counter that shares no code with the doubled search;
+    # hollmann_large(8) itself is left out, VF2 takes tens of seconds there
+    nx = pytest.importorskip("networkx")
+    p3 = passman_schemes[3][0]
+    cases = [(dihedral(5).orbitals(), 10), (p3, 72),
+             (extend_points(hollmann8[0], [0]), 18),
+             (extend_points(p3, [0, 1]), 2)]
+    for cfg, order in cases:
+        assert automorphism_count_oracle(cfg) == order
+        assert networkx_automorphism_count(nx, cfg) == order
+
+
 def test_aut_hollmann8_matches_unpruned_oracle(hollmann8):
     cfg, _ = hollmann8
     assert automorphism_count_oracle(cfg) == 504
@@ -112,6 +146,59 @@ def test_aut_partly_regular_fast_path(passman_schemes):
     aut = automorphism_group(ext)
     assert aut.method == "partly-regular-fastpath"
     assert aut.order == automorphism_count_oracle(ext)
+
+
+def reference_partly_regular_automorphisms(cfg, alpha):
+    """The seed-by-seed loop `_partly_regular_automorphisms` ran before,
+    frozen as the reference for its list and order."""
+    M = cfg.colors
+    n = cfg.degree
+    row = M[alpha]
+    out = []
+    for seed in range(n):
+        target = M[seed]
+        pos = {}
+        ok = True
+        for b, s in enumerate(target.tolist()):
+            if s in pos:
+                pos[s] = None
+            else:
+                pos[s] = b
+        f = np.empty(n, dtype=np.int64)
+        for b in range(n):
+            p = pos.get(int(row[b]))
+            if p is None:
+                ok = False
+                break
+            f[b] = p
+        if not ok or len(set(f.tolist())) != n:
+            continue
+        if analysis._verify_automorphism(cfg, f):
+            out.append(tuple(int(x) for x in f))
+    return out
+
+
+def test_partly_regular_automorphisms_match_the_reference_loop(passman_schemes):
+    # the random orbital configurations and one-point extensions of the
+    # 201444a claim at seed 0, and two-point extensions of passman(3), (5)
+    rng = np.random.default_rng(0)
+    corpus = []
+    for _ in range(100):
+        n = int(rng.integers(4, 13))
+        k = int(rng.integers(1, 3))
+        gens = [tuple(int(x) for x in rng.permutation(n)) for _ in range(k)]
+        cfg = PermGroup(n, gens).orbitals()
+        corpus += [cfg, extend_points(cfg, [int(rng.integers(0, n))])]
+    for q in (3, 5):
+        cfg = passman_schemes[q][0]
+        corpus += [extend_points(cfg, [0, b]) for b in range(1, cfg.degree, q)]
+    regular = [(cfg, pts) for cfg in corpus
+               for flag, pts in [cfg.is_partly_regular()] if flag]
+    assert len(regular) >= 100
+    for cfg, pts in regular:
+        for alpha in {pts[0], pts[-1]}:
+            got = analysis._partly_regular_automorphisms(cfg, alpha)
+            assert got == reference_partly_regular_automorphisms(cfg, alpha)
 
 
 def test_aut_generic_guard():
@@ -351,6 +438,16 @@ def test_claim_passman_m_values_recorded(passman_schemes):
     assert not rep5.passed          # the stated m_u = 1 fails: computed 2
     assert rep5.witnesses["m_u"] == 2
     assert rep5.witnesses["m_t"] == 4
+
+
+def test_claim_170520w1_checks_q_before_building(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the claim built a scheme before checking q")
+
+    monkeypatch.setattr(claims, "large_scheme", no_work)
+    monkeypatch.setattr(claims, "extend_points", no_work)
+    with pytest.raises(UsageError):
+        verify_claim("170520w1", q=64)
 
 
 def test_claim_fusion_bound():

