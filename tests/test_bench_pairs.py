@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import pytest
@@ -33,3 +34,23 @@ def test_summary_interpolates_quartiles():
     assert wall["change_lower_in"] == "0/4"
     single = bench_pairs.summarize([pair({"wall_s": 2.0}, {"wall_s": 1.0})])
     assert single["wall_s"]["change_q1_median_q3"] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
+def test_runs_that_failed_their_checks_stop_the_script(tmp_path, monkeypatch,
+                                                       correct, failed):
+    result = {"correct": correct, "attempted": 6, "failed": failed,
+              "metrics": {"wall_s": {"value": 0.5, "unit": "s"}}}
+
+    def fake_run(argv, cwd=None, **kwargs):
+        return bench_pairs.subprocess.CompletedProcess(
+            argv, 0, stdout="record {}\n" + json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    with pytest.raises(SystemExit, match=f"{parent} seed 7 failed its checks"):
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--workload", "ledger", "--seeds", "7", "--title", "t"])
+    assert not list(change.iterdir())

@@ -10,8 +10,8 @@ and once in the change checkout, alternating which side goes first
 prints, and appends one entry to ``BENCH_<workload>.json`` in the change
 checkout: per metric the quartiles and median of both sides and the
 number of pairs in which the change is lower, and every pair with the
-side that ran first.  A run that exits non-zero stops the script before
-anything is written.
+side that ran first.  A run that exits non-zero, or whose result says that
+its checks failed, stops the script before anything is written.
 """
 
 import argparse
@@ -65,6 +65,10 @@ def run_side(checkout, workload, seed, seconds):
                          f"{proc.returncode}: {proc.stderr.strip()}")
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"error: {checkout} seed {seed} failed its checks "
+                         f"(correct {result['correct']}, {result['failed']} of "
+                         f"{result['attempted']} operations failed)")
     record = next((json.loads(line[len("record "):]) for line in lines
                    if line.startswith("record ")), {})
     return {"correct": result["correct"], "attempted": result["attempted"],
