@@ -118,15 +118,13 @@ class CoherentConfiguration:
     ``validate`` for that.
     """
 
-    def __init__(self, colors, canonical=False):
+    def __init__(self, colors):
         colors = np.asarray(colors)
         if colors.ndim != 2 or colors.shape[0] != colors.shape[1]:
             raise UsageError("color matrix must be square")
         if colors.size and colors.min() < 0:
             raise UsageError("color ids must be nonnegative")
-        if not canonical:
-            colors = canonicalize_colors(colors)
-        colors = np.ascontiguousarray(colors, dtype=np.int64)
+        colors = np.ascontiguousarray(canonicalize_colors(colors), dtype=np.int64)
         colors.setflags(write=False)
         self.colors = colors
         self.degree = colors.shape[0]
@@ -198,8 +196,7 @@ class CoherentConfiguration:
         bad_off = np.isin(off, sorted(diag_set))
         rep.require("diagonal-classes-pure", not bad_off.any())
         # transpose of every class is a class
-        fr, fc = self._first_cells()
-        t = self.colors[fc, fr]
+        t = self.transpose_map()
         trans_ok = np.array_equal(t[self.colors], self.colors.T)
         if not trans_ok:
             cell = np.argwhere(t[self.colors] != self.colors.T)[0]
@@ -220,19 +217,19 @@ class CoherentConfiguration:
 
     # intersection numbers
 
-    def tensor(self, verify=None, seed=0):
-        """Exact intersection tensor c[t, r, s].
+    def tensor(self, *, seed=0):
+        """Exact intersection tensor c[t, r, s], computed once.
 
         Computed from one representative pair per color and re-verified
         by the composition kernel of `wl`: every pair when the degree is
-        at most 100 or verify="full", else ceil(log2 n) seeded random
-        pairs per color, each color's representative listed first.  A
-        mismatch means the matrix was not coherent and raises
-        IntegrityError naming the triple.
+        at most 100, else ceil(log2 n) seeded random pairs per color,
+        each color's representative listed first.  A mismatch means the
+        matrix was not coherent and raises IntegrityError naming the
+        triple.  ``validate("full")`` checks every pair at any degree.
         """
         if seed < 0:
             raise UsageError("seed must be nonnegative")
-        if self._tensor is not None and verify is None:
+        if self._tensor is not None:
             return self._tensor
         if self.rank > TENSOR_RANK_LIMIT:
             raise ResourceLimitError(
@@ -247,7 +244,7 @@ class CoherentConfiguration:
             values[t] = np.bincount(codes, minlength=r * r).reshape(r, r)
         flat = M.ravel()
         cells = cells_by_color(flat)
-        if not (verify == "full" or (verify is None and n <= 100)):
+        if n > 100:
             rng = np.random.default_rng(seed)
             k = max(1, int(np.ceil(np.log2(max(n, 2)))))
             bounds = np.searchsorted(flat[cells], np.arange(r + 1))
@@ -261,10 +258,8 @@ class CoherentConfiguration:
             raise IntegrityError(
                 f"intersection number not constant on color {bad[2]}",
                 triple=bad)
-        tensor = IntersectionTensor(values, self.valencies().copy(), self.degree)
-        if verify is None or self._tensor is None:
-            self._tensor = tensor
-        return tensor
+        self._tensor = IntersectionTensor(values, self.valencies().copy(), self.degree)
+        return self._tensor
 
     def indistinguishing_numbers(self):
         """Per-color c(s) for irreflexive s, and the maximum c(X).

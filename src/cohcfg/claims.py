@@ -7,6 +7,7 @@ intermediate objects (schemes and their point extensions) are memoized
 for the duration of the process.
 """
 
+import functools
 import inspect
 import numbers
 import time
@@ -26,33 +27,23 @@ from .schemes import (AffinePlanePoints, ExteriorPairPoints, hollmann_large,
 from .wl import extend_points
 
 _REGISTRY = {}
-_CACHE = {}
 
 
-def _cached(key, build):
-    if key not in _CACHE:
-        _CACHE[key] = build()
-    return _CACHE[key]
-
-
-def large_scheme(q):
-    return hollmann_large(q)
-
-
+@functools.cache
 def small_scheme(q):
-    return _cached(("small", q), lambda: hollmann_small(q))
+    return hollmann_small(q)
 
 
+@functools.cache
 def passman(q):
-    return _cached(("passman", q), lambda: passman_scheme(q))
+    return passman_scheme(q)
 
 
+@functools.cache
 def extension(family, q, points):
-    cfg = {"large": lambda: large_scheme(q)[0],
-           "small": lambda: small_scheme(q)[0],
-           "passman": lambda: passman(q)[0]}[family]()
-    return _cached((family, q, tuple(points)),
-                   lambda: extend_points(cfg, points))
+    cfg = {"large": hollmann_large, "small": small_scheme,
+           "passman": passman}[family](q)[0]
+    return extend_points(cfg, points)
 
 
 def claim(claim_id):
@@ -98,7 +89,7 @@ def _large_parameters(q):
     """Large scheme: degree q(q-1)/2, rank q/2, valency q+1, symmetric,
     pseudocyclic."""
     rep = VerificationReport(claim="160520i", params={"q": q})
-    cfg, _ = large_scheme(q)
+    cfg, _ = hollmann_large(q)
     rep.require("degree", cfg.degree == q * (q - 1) // 2, cfg.degree)
     rep.require("rank", cfg.rank == q // 2, cfg.rank)
     v = sorted(set(int(x) for s, x in enumerate(cfg.valencies())
@@ -115,7 +106,7 @@ def _stabilizer_orders(q):
     """Point stabilizer of order 2(q+1) whose nontrivial orbits all have
     size q+1."""
     rep = VerificationReport(claim="250720a", params={"q": q})
-    cfg, G = large_scheme(q)
+    cfg, G = hollmann_large(q)
     stab = G.point_stabilizer(0)
     rep.require("stabilizer-order", stab.order() == 2 * (q + 1), stab.order())
     sizes = np.bincount(stab.orbit_minima())[1:]   # 0 is fixed
@@ -128,12 +119,12 @@ def _stabilizer_orders(q):
 def _aut_orders(q):
     """aut(X) = the constructing group; aut(X_a) its point stabilizer."""
     rep = VerificationReport(claim="250720b", params={"q": q})
-    cfg, G = large_scheme(q)
+    cfg, G = hollmann_large(q)
     if q <= 8:
         aut = automorphism_group(cfg)
         rep.require("aut-order", aut.order == q * (q * q - 1), aut.order)
         rep.witnesses["method"] = aut.method
-    xa = extension("large", q, [0])
+    xa = extension("large", q, (0,))
     aut_a = automorphism_group(xa)
     rep.require("aut-extension-order", aut_a.order == 2 * (q + 1), aut_a.order)
     rep.witnesses["extension-method"] = aut_a.method
@@ -165,8 +156,8 @@ def _matchings(q):
     matching is re-derived inside the labeled relation."""
     rep = VerificationReport(claim="170520w1", params={"q": q})
     label = trace_label_check(q)   # refuses an unsupported q before any work
-    cfg, _ = large_scheme(q)
-    xa = extension("large", q, [0])
+    cfg, _ = hollmann_large(q)
+    xa = extension("large", q, (0,))
     fibers = xa.fibers()
     nonsingleton = [i for i, f in enumerate(fibers) if len(f) > 1]
     missing = []
@@ -225,7 +216,7 @@ def _restriction_scheme(q):
     automorphisms a dihedral group of order 2(q+1) containing a regular
     cycle, and any one-point extension partly regular."""
     rep = VerificationReport(claim="250720f", params={"q": q})
-    xa = extension("large", q, [0])
+    xa = extension("large", q, (0,))
     delta = [f for f in xa.fibers() if len(f) > 1][0]
     Y = xa.restriction(delta.tolist())
     rep.require("restriction-degree", Y.degree == q + 1, Y.degree)
@@ -249,7 +240,7 @@ def _restriction_isomorphism(q):
     restriction map on automorphisms is a group isomorphism: orders
     agree and distinct automorphisms restrict distinctly."""
     rep = VerificationReport(claim="180520i", params={"q": q})
-    xa = extension("large", q, [0])
+    xa = extension("large", q, (0,))
     fibers = xa.fibers()
     delta_idx = next(i for i, f in enumerate(fibers) if len(f) > 1)
     delta = fibers[delta_idx]
@@ -283,7 +274,7 @@ def _extension_schurian_separable(q):
     separable: schurity directly, separability through the restriction
     route; the two-dimensional consequence is recorded as an inference."""
     rep = VerificationReport(claim="030620i", params={"q": q})
-    xa = extension("large", q, [0])
+    xa = extension("large", q, (0,))
     rep.require("extension-schurian", is_schurian(xa).passed)
     sub = _restriction_scheme(q)
     rep.require("restriction-chain", sub.passed)
@@ -316,7 +307,7 @@ def _small_scheme_claims(q):
                 small.rank)
     ok, k = small.is_pseudocyclic()
     rep.require("pseudocyclic", ok and k == d * (q + 1), k)
-    large, _ = large_scheme(q)
+    large, _ = hollmann_large(q)
     m_large = max(large.m_t(t) for t in range(large.rank)
                   if not large.is_reflexive(t))
     rep.require("large-m<=4", m_large <= 4, m_large)
@@ -336,7 +327,7 @@ def _small_two_point_extensions(q=32):
         if small.is_reflexive(t):
             continue
         a, b = small.first_pair(t)
-        ext = extension("small", q, [a, b])
+        ext = extension("small", q, (a, b))
         flag, _ = ext.is_partly_regular()
         rep.require(f"color-{t}", flag, witness=(a, b, ext.rank))
     return rep
@@ -379,7 +370,7 @@ def _passman_two_point_extensions(q):
         if cfg.is_reflexive(t):
             continue
         a, b = cfg.first_pair(t)
-        ext = extension("passman", q, [a, b])
+        ext = extension("passman", q, (a, b))
         flag, _ = ext.is_partly_regular()
         rep.require(f"color-{t}", flag, witness=(a, b, ext.rank))
     return rep
@@ -441,7 +432,7 @@ def _fusion_bound(family="small", seed=0, trials=1000):
                              params={"family": family, "seed": seed,
                                      "trials": trials})
     if family == "small":
-        base, _ = large_scheme(32)
+        base, _ = hollmann_large(32)
         pts = ExteriorPairPoints(32)
         gens = [induced_color_action(base, pts.frobenius_permutation())]
     elif family == "passman":

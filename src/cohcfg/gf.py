@@ -13,17 +13,6 @@ import numpy as np
 
 from .errors import UsageError
 
-# Fixed moduli for reproducibility, coefficients lowest degree first.
-# Each is the irreducible monic polynomial whose non-leading coefficient
-# code (sum c_i p^i over i < d) is minimal; pinning them makes the choice
-# independent of the search code path.
-_FIXED_MODULI = {
-    (2, 3): (1, 1, 0, 1),        # x^3 + x + 1
-    (2, 4): (1, 1, 0, 0, 1),     # x^4 + x + 1
-    (2, 5): (1, 0, 1, 0, 0, 1),  # x^5 + x^2 + 1
-    (3, 2): (1, 0, 1),           # x^2 + 1
-}
-
 
 def is_prime(n):
     if n < 2:
@@ -98,27 +87,20 @@ def _is_irreducible(f, p):
 class Field:
     """GF(p^d) in a fixed polynomial basis.
 
-    The modulus defaults to the pinned table above, falling back to the
-    monic irreducible with the least coefficient code; irreducibility is
-    re-verified either way.
+    The modulus is the monic irreducible polynomial of degree d whose
+    non-leading coefficient code (sum c_i p^i over i < d) is least, so
+    the basis, and every code downstream, is reproducible.
     """
 
-    def __init__(self, p, d, modulus=None):
+    def __init__(self, p, d):
         if not is_prime(p):
             raise UsageError(f"characteristic {p} is not prime")
         if d < 1:
             raise UsageError(f"extension degree {d} must be >= 1")
-        if modulus is None:
-            modulus = _FIXED_MODULI.get((p, d)) or self._least_irreducible(p, d)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != d + 1 or modulus[-1] != 1:
-            raise UsageError("modulus must be monic of degree d")
-        if not _is_irreducible(modulus, p):
-            raise UsageError(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.d = d
         self.q = p ** d
-        self.modulus = modulus
+        self.modulus = self._least_irreducible(p, d)
         self._build_tables()
 
     @staticmethod
@@ -240,9 +222,6 @@ class Field:
         """Absolute trace a + a^p + ... + a^(p^(d-1)), a code in GF(p)."""
         return int(self._trace[a])
 
-    def elements(self):
-        return range(self.q)
-
     def element_order(self, a):
         if a == 0:
             raise UsageError("zero has no multiplicative order")
@@ -276,7 +255,7 @@ class QuadExtension:
 
     nu is the least trace-1 element of the base field, which makes
     x^2 + x + nu irreducible and the q-power conjugation the O(1) map
-    (a, b) -> (a + b, b).  Elements are encoded as a + q*b.
+    (a, b) -> (a + b, b).
     """
 
     def __init__(self, base):
@@ -287,23 +266,9 @@ class QuadExtension:
         nu = next(a for a in range(self.q) if base.trace(a) == 1)
         self.nu = nu
 
-    def encode(self, ab):
-        a, b = ab
-        return a + self.q * b
-
     def add(self, u, v):
         F = self.base
         return (F.add(u[0], v[0]), F.add(u[1], v[1]))
-
-    def mul(self, u, v):
-        # (a+bx)(c+dx) = ac + bd*nu + (ad+bc+bd) x  using x^2 = x + nu
-        F = self.base
-        a, b = u
-        c, d = v
-        bd = F.mul(b, d)
-        lo = F.add(F.mul(a, c), F.mul(bd, self.nu))
-        hi = F.add(F.add(F.mul(a, d), F.mul(b, c)), bd)
-        return (lo, hi)
 
     def conj(self, u):
         """q-power Frobenius over the base field: (a, b) -> (a+b, b)."""
@@ -335,6 +300,3 @@ class QuadExtension:
     def scalar_mul(self, c, u):
         F = self.base
         return (F.mul(c, u[0]), F.mul(c, u[1]))
-
-    def elements(self):
-        return ((a, b) for b in range(self.q) for a in range(self.q))

@@ -258,10 +258,6 @@ class PermGroup:
         self._ensure_chain()
         return self._sift(np.array([g], dtype=self._ident.dtype)) is None
 
-    def base(self):
-        self._ensure_chain()
-        return tuple(self._base)
-
     def strong_generators(self, level=0):
         self._ensure_chain()
         if level >= len(self._level_gens):

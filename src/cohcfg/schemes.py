@@ -260,7 +260,7 @@ def passman_scheme(q):
     return cfg, G, frob_part
 
 
-def trace_label_check(q, tensor=None):
+def trace_label_check(q):
     """Search for a color labeling by trace-zero field elements.
 
     Looks for a bijection x -> s_x from the trace-zero hyperplane onto
@@ -282,8 +282,7 @@ def trace_label_check(q, tensor=None):
         raise UsageError("trace labeling is checked for q in (8, 16, 32)")
     rep = VerificationReport(claim="250720c", params={"q": q})
     cfg, _ = hollmann_large(q)
-    tensor = cfg.tensor() if tensor is None else tensor
-    values = tensor.values
+    values = cfg.tensor().values
     field = Field(2, q.bit_length() - 1)
     t0 = field.trace_zero()
     colors = list(range(cfg.rank))

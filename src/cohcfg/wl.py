@@ -53,6 +53,7 @@ _INT32_CODES = 1 << 31
 _MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F),
         np.uint64(0x165667B19E3779F9))
 _BATCH_BYTES = 1 << 19  # a certificate batch stays in a core's L2 cache
+_MAX_REPORT = 5  # distinct violated triples coherence_violations returns
 
 
 def _normalize(colors):
@@ -301,14 +302,14 @@ def two_extension(cfg):
     return CoherentConfiguration(stabilize(init))
 
 
-def coherence_violations(colors, max_report=5):
+def coherence_violations(colors):
     """Exact coherence check; returns violating (r, s, t) triples.
 
     A coherent matrix is recognized by the exact certificate of
     `stabilize`.  Otherwise every cell, in color order, goes to the
     composition kernel, which names a violated triple for each cell
-    whose codes differ from the previous cell of its color; up to
-    ``max_report`` distinct triples are returned.
+    whose codes differ from the previous cell of its color; the first
+    five distinct triples are returned.
     """
     M = np.asarray(colors, dtype=np.int64)
     if _is_coherent(M):
@@ -318,6 +319,6 @@ def coherence_violations(colors, max_report=5):
     for triple in _composition_mismatches(M, cells):
         if triple not in violations:
             violations.append(triple)
-            if len(violations) >= max_report:
+            if len(violations) >= _MAX_REPORT:
                 break
     return violations

@@ -5,17 +5,17 @@ from cohcfg import claims
 
 @pytest.fixture(scope="session")
 def hollmann8():
-    return claims.large_scheme(8)
+    return claims.hollmann_large(8)
 
 
 @pytest.fixture(scope="session")
 def hollmann16():
-    return claims.large_scheme(16)
+    return claims.hollmann_large(16)
 
 
 @pytest.fixture(scope="session")
 def hollmann32():
-    return claims.large_scheme(32)
+    return claims.hollmann_large(32)
 
 
 @pytest.fixture(scope="session")

@@ -114,7 +114,7 @@ def test_criterion_01_large_scheme_parameters():
     for q, (degree, rank, valency) in expected.items():
         rep = verify_claim("160520i", q=q)
         ok = ok and rep.passed
-        cfg, _ = claims.large_scheme(q)
+        cfg, _ = claims.hollmann_large(q)
         ok = ok and (cfg.degree, cfg.rank) == (degree, rank)
         irref = [s for s in range(cfg.rank) if not cfg.is_reflexive(s)]
         ok = ok and all(int(cfg.valencies()[s]) == valency for s in irref)
@@ -266,7 +266,7 @@ def test_criterion_08_clauses_contradicted_by_computation():
 def test_criterion_09_bound_property_suite():
     rep = verify_claim("201444a", seed=0, count=100)
     ok = rep.passed
-    built = [claims.large_scheme(q)[0] for q in (8, 16, 32)]
+    built = [claims.hollmann_large(q)[0] for q in (8, 16, 32)]
     built += [claims.small_scheme(q)[0] for q in (8, 32)]
     built += [claims.passman(q)[0] for q in PASSMAN_RANGE]
     for cfg in built:
@@ -286,7 +286,7 @@ def test_criterion_09_bound_property_suite():
 
 def test_criterion_10_tensor_identity_suite():
     ok = True
-    homogeneous = [claims.large_scheme(q)[0] for q in (8, 16, 32)]
+    homogeneous = [claims.hollmann_large(q)[0] for q in (8, 16, 32)]
     homogeneous += [claims.small_scheme(q)[0] for q in (8, 32)]
     for q in PASSMAN_RANGE:
         cfg, _, Y = claims.passman(q)
@@ -309,7 +309,7 @@ def test_criterion_10_tensor_identity_suite():
 def test_criterion_11_base_numbers():
     # recorded constants, fixed after the first computation
     expected = {("hollmann", 8): 3, ("passman", 3): 3, ("passman", 5): 3}
-    ok = base_number(claims.large_scheme(8)[0], "exact") == expected[("hollmann", 8)]
+    ok = base_number(claims.hollmann_large(8)[0], "exact") == expected[("hollmann", 8)]
     ok = ok and base_number(claims.passman(3)[0], "exact") == expected[("passman", 3)]
     ok = ok and base_number(claims.passman(5)[0], "exact") == expected[("passman", 5)]
     assert record(11, "exact base numbers: large q=8 and affine q=3,5 all "

@@ -129,16 +129,6 @@ def test_aut_extension_orders(hollmann8):
     assert aut.order == 18
 
 
-def test_aut_known_group_confirmation(hollmann32):
-    cfg, G = hollmann32
-    aut = automorphism_group(cfg, known=G)
-    assert aut.method == "known-group-confirmed"
-    assert aut.order == G.order()
-    bogus = PermGroup(cfg.degree, [tuple([1, 0] + list(range(2, cfg.degree)))])
-    with pytest.raises(UsageError):
-        automorphism_group(cfg, known=bogus)
-
-
 def test_aut_partly_regular_fast_path(passman_schemes):
     cfg, _, _ = passman_schemes[3]
     ext = extend_points(cfg, [0, 1])
@@ -444,7 +434,7 @@ def test_claim_170520w1_checks_q_before_building(monkeypatch):
     def no_work(*args):
         raise AssertionError("the claim built a scheme before checking q")
 
-    monkeypatch.setattr(claims, "large_scheme", no_work)
+    monkeypatch.setattr(claims, "hollmann_large", no_work)
     monkeypatch.setattr(claims, "extend_points", no_work)
     with pytest.raises(UsageError):
         verify_claim("170520w1", q=64)

@@ -89,21 +89,21 @@ def test_validate_hexagon_fails_with_witness_triple():
 
 def test_tensor_trivial_scheme():
     cfg = trivial_scheme(7)
-    tensor = cfg.tensor(verify="full")
+    tensor = cfg.tensor()
     assert tensor.values[1, 1, 1] == 5      # n - 2 common neighbours
     assert cfg.m_t(1) == 5
 
 
 def test_tensor_thin_scheme():
     cfg = thin_scheme(5)
-    tensor = cfg.tensor(verify="full")
+    tensor = cfg.tensor()
     assert set(np.unique(tensor.values)) == {0, 1}
 
 
 def test_tensor_detects_incoherence():
     cfg = CoherentConfiguration(cycle_partition(6))
     with pytest.raises(IntegrityError) as err:
-        cfg.tensor(verify="full")
+        cfg.tensor()
     assert err.value.triple is not None
 
 
@@ -113,7 +113,7 @@ def test_tensor_rejects_negative_seed(hollmann16):
     with pytest.raises(UsageError):
         cfg.tensor(seed=-1)
     with pytest.raises(UsageError):
-        thin_scheme(5).tensor(verify="full", seed=-2)
+        thin_scheme(5).tensor(seed=-2)
 
 
 def test_tensor_bijections_of_a_cyclic_group_are_its_automorphisms():
@@ -148,7 +148,7 @@ def test_tensor_bijections_between_two_tensors():
 
 def test_tensor_identities(hollmann8, passman_schemes):
     for cfg in (hollmann8[0], passman_schemes[5][0], thin_scheme(6)):
-        tensor = cfg.tensor(verify="full")
+        tensor = cfg.tensor()
         ok, _ = tensor.row_sums_ok()
         assert ok
         ok, _ = tensor.product_identity_ok()
@@ -425,7 +425,7 @@ def test_vectorized_row_counts_match_row_loops():
         colors = rng.integers(0, int(rng.integers(1, 2 * n + 2)), size=(n, n))
         canonical = canonicalize_colors(colors)
         assert np.array_equal(canonical, loop_canonicalize(colors))
-        cfg = CoherentConfiguration(canonical, canonical=True)
+        cfg = CoherentConfiguration(canonical)
         fr, _ = cfg._first_cells()
         assert np.array_equal(cfg.valencies(), loop_valencies(cfg.colors, fr))
         assert cfg.regular_points() == [

@@ -1,7 +1,7 @@
 import ast
 import os
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -67,10 +67,85 @@ def test_unnamed_definition_finder():
     assert unnamed_definitions([module]) == ["A", "unused"]
 
 
+def package_sources():
+    return [read(os.path.join(SRC, f)) for f in sorted(os.listdir(SRC))
+            if f.endswith(".py")]
+
+
+def caller_sources():
+    return [read(os.path.join(path, f))
+            for d in CALLER_DIRS for path, _, files in os.walk(os.path.join(ROOT, d))
+            for f in sorted(files) if f.endswith(".py")]
+
+
 def test_every_definition_is_named_outside_the_tests():
-    modules = [read(os.path.join(SRC, f)) for f in sorted(os.listdir(SRC))
-               if f.endswith(".py")]
-    others = [read(os.path.join(path, f))
-              for d in CALLER_DIRS for path, _, files in os.walk(os.path.join(ROOT, d))
-              for f in sorted(files) if f.endswith(".py")]
-    assert unnamed_definitions(modules, others) == []
+    assert unnamed_definitions(package_sources(), caller_sources()) == []
+
+
+def _called_name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _sets(call, index, param):
+    """The call sets the parameter: by keyword, by ``**``, by ``*args``
+    or (index not None) by position."""
+    keywords = {k.arg for k in call.keywords}
+    return (param in keywords or None in keywords
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (index is not None and len(call.args) > index))
+
+
+def unset_parameters(modules, others=()):
+    """Defaulted parameters of the functions and methods defined in the
+    ``modules`` sources that no call in a module or ``others`` source
+    sets, as ``name(param=)``.  A call matches a definition by function
+    or attribute name, and a class name stands for its ``__init__``.
+    Functions registered by a decorator call such as ``@claim(...)``,
+    and functions passed as an argument (``_attempt(cli.main, argv)``),
+    are exempt."""
+    calls, passed = defaultdict(list), set()
+    for source in (*modules, *others):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                calls[_called_name(node.func)].append(node)
+                passed.update(map(_called_name,
+                                  (*node.args, *(k.value for k in node.keywords))))
+    unset = []
+    for source in modules:
+        tree = ast.parse(source)
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name in passed or any(
+                    isinstance(d, ast.Call) for d in node.decorator_list):
+                continue
+            name = owner[id(node)] if node.name == "__init__" else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(_called_name(d) == "staticmethod" for d in node.decorator_list)
+            if id(node) in owner and not static:
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            unset += [f"{name}({param}=)" for index, param in defaulted
+                      if not any(_sets(call, index, param) for call in calls[name])]
+    return sorted(unset)
+
+
+def test_unset_parameter_finder():
+    module = ("@claim('x')\ndef registered(a=1):\n    pass\n\n"
+              "def main(argv=None):\n    pass\n\n"
+              "def f(a, b=1, *, c=2, d=3):\n    pass\n\n"
+              "class A:\n    def __init__(self, x=0, y=0):\n"
+              "        self.g(1)\n        f(0, d=self.h(*x))\n\n"
+              "    def g(self, u=0, v=0):\n        pass\n\n"
+              "    @staticmethod\n    def h(s=0, t=0):\n        pass\n")
+    assert unset_parameters([module]) == [
+        "A(x=)", "A(y=)", "f(b=)", "f(c=)", "g(v=)", "main(argv=)"]
+    assert unset_parameters([module], ["A(**kw)\nf(0, 1, c=2)\nrun(main)\n"]) == ["g(v=)"]
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    assert unset_parameters(package_sources(), caller_sources()) == []

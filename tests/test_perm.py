@@ -399,7 +399,8 @@ def reference_chain(degree, generators, prefix=()):
 
 def chain_of(G):
     """(base, strong generators per level, transversal per level) of G."""
-    base = G.base()
+    G.order()
+    base = G._base
     levels = [G.strong_generators(i) for i in range(len(base))]
     trans = [{int(p): tuple(T[lookup[p]].tolist())
               for p in np.flatnonzero(lookup >= 0)}
