@@ -134,6 +134,7 @@ class CoherentConfiguration:
         self._transpose = None
         self._tensor = None
         self._fibers = None
+        self._fiber_colors = None
 
     # cached derived data
 
@@ -175,13 +176,14 @@ class CoherentConfiguration:
             self._transpose = self.colors[fc, fr]
         return self._transpose
 
-    def source_fiber(self, s):
-        a, _ = self.first_pair(s)
-        return int(self.colors[a, a])
-
-    def target_fiber(self, s):
-        _, b = self.first_pair(s)
-        return int(self.colors[b, b])
+    def fiber_colors(self):
+        """(source, target): for every color, the reflexive color of the
+        fiber its cells start in and of the fiber they end in."""
+        if self._fiber_colors is None:
+            fr, fc = self._first_cells()
+            diag = self.colors.diagonal()
+            self._fiber_colors = (diag[fr], diag[fc])
+        return self._fiber_colors
 
     # validation
 
@@ -354,15 +356,11 @@ class CoherentConfiguration:
         if not (0 <= fiber_i < len(fibers) and 0 <= fiber_j < len(fibers)):
             raise UsageError("fiber index out of range")
         v = self.valencies()
-        t = self.transpose_map()
+        source, target = self.fiber_colors()
         refl = self.reflexive_colors()
-        out = []
-        for s in range(self.rank):
-            if self.source_fiber(s) == refl[fiber_i] and \
-               self.target_fiber(s) == refl[fiber_j] and \
-               v[s] == 1 and v[t[s]] == 1:
-                out.append(s)
-        return out
+        match = ((source == refl[fiber_i]) & (target == refl[fiber_j])
+                 & (v == 1) & (v[self.transpose_map()] == 1))
+        return np.flatnonzero(match).tolist()
 
     def m_t(self, t):
         """Largest intersection number with target color t."""

@@ -5,8 +5,11 @@ coefficients of the residue polynomial, lowest degree first, so codes run
 bijectively over 0..p^d-1.  Everything downstream indexes points by these
 codes, which is what makes file outputs bit-exact.
 
-Fields here are desk scale (p^d <= a few thousand), so add/mul tables are
-built eagerly at construction.
+Fields here are desk scale (p^d <= a few thousand).  One builder tabulates
+every field, whatever its characteristic: addition digit by digit, then
+the exp/log tables of the least primitive element, from which products,
+inverses, the Frobenius map and the trace are read off (the textbook
+construction; Lidl & Niederreiter, *Finite Fields*, 2nd ed., 1997).
 """
 
 import numpy as np
@@ -31,15 +34,6 @@ def _poly_trim(f):
     return f
 
 
-def _poly_mul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_trim(tuple(out))
-
-
 def _poly_mod(f, m, p):
     # m monic
     f = list(f)
@@ -58,13 +52,6 @@ def _code_to_poly(code, p, d):
         coeffs.append(code % p)
         code //= p
     return tuple(coeffs)
-
-
-def _poly_to_code(f, p):
-    code = 0
-    for c in reversed(f):
-        code = code * p + c
-    return code
 
 
 def _is_irreducible(f, p):
@@ -90,6 +77,14 @@ class Field:
     The modulus is the monic irreducible polynomial of degree d whose
     non-leading coefficient code (sum c_i p^i over i < d) is least, so
     the basis, and every code downstream, is reproducible.
+
+    Construction tabulates the field in the narrowest integer type that
+    holds its codes.  The addition table grows one digit position at a
+    time (digitwise sums mod p, which is xor when p = 2).  Multiplying
+    every code by x follows from the modulus, and the least code whose
+    powers run through all q - 1 nonzero codes is the primitive element.
+    Its exp/log tables give the product, inverse and Frobenius tables,
+    and the trace sums the Frobenius orbit with the addition table.
     """
 
     def __init__(self, p, d):
@@ -99,9 +94,68 @@ class Field:
             raise UsageError(f"extension degree {d} must be >= 1")
         self.p = p
         self.d = d
-        self.q = p ** d
+        self.q = q = p ** d
         self.modulus = self._least_irreducible(p, d)
-        self._build_tables()
+        dtype = np.min_scalar_type(-q)
+
+        # digit k of a code becomes the most significant one of the table
+        # on p^(k+1) codes: add[(a, a'), (b, b')] = (a + b mod p, add[a', b'])
+        digit_add = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(dtype)
+        add = digit_add
+        for k in range(1, d):
+            low = p ** k
+            add = (digit_add[:, None, :, None] * low
+                   + add[None, :, None, :]).reshape(p * low, p * low)
+
+        # x c = (c without its top digit t) shifted up, plus -t times the
+        # modulus below its leading term
+        codes = np.arange(q)
+        top, rest = np.divmod(codes, q // p)
+        reduction = (-np.outer(np.arange(p), self.modulus[:d]) % p) @ p ** np.arange(d)
+        times_x = add[rest * p, reduction[top]]
+
+        def times(g):
+            # c -> g c for all codes: the sum over g's digits g_i of g_i x^i c
+            out, power = np.zeros(q, dtype), codes
+            for g_i in _code_to_poly(g, p, d):
+                for _ in range(g_i):
+                    out = add[out, power]
+                power = times_x[power]
+            return out
+
+        # powers g^0 .. g^(q-2) by doubling; g is primitive when 1 is
+        # reached only at g^0
+        for g in range(1, q):
+            exp, step = np.ones(1, np.intp), times(g)
+            while exp.size < q - 1:
+                exp, step = np.concatenate([exp, step[exp]]), step[step]
+            exp = exp[:q - 1]
+            if np.count_nonzero(exp == 1) == 1:
+                break
+        self._primitive = g
+        log = np.zeros(q, np.intp)
+        log[exp] = np.arange(q - 1)
+        exp = np.concatenate([exp, exp])   # exp of log sums below 2(q - 1)
+
+        # row blocks keep the index temporaries near 2^20 entries
+        mul = np.zeros((q, q), dtype)
+        rows = max(1, 2 ** 20 // q)
+        for r in range(1, q, rows):
+            mul[r:r + rows, 1:] = exp[log[r:r + rows, None] + log[1:]]
+        inv = np.zeros(q, dtype)
+        inv[1:] = exp[q - 1 - log[1:]]
+        frob = np.zeros(q, dtype)
+        frob[1:] = exp[p * log[1:] % (q - 1)]
+        trace, x = np.zeros(q, dtype), codes
+        for _ in range(d):
+            trace = add[trace, x]
+            x = frob[x]
+        self._add = add
+        self._neg = mul[p - 1]   # p - 1 is the code of -1
+        self._mul = mul
+        self._inv = inv
+        self._frob = frob
+        self._trace = trace
 
     @staticmethod
     def _least_irreducible(p, d):
@@ -111,86 +165,9 @@ class Field:
                 return f
         raise AssertionError("no irreducible polynomial found")
 
-    def _build_tables(self):
-        if self.p == 2:
-            self._build_tables_char2()
-        else:
-            self._build_tables_generic()
-        self._finish_tables()
-
-    def _build_tables_char2(self):
-        # codes ARE bit vectors: addition is xor, and multiplication rows
-        # are xor-combinations of the shifted-and-reduced basis rows
-        d, q = self.d, self.q
-        mod_int = _poly_to_code(self.modulus, 2)
-        cols = np.arange(q, dtype=np.int64)
-        basis = np.empty((d, q), dtype=np.int64)
-        basis[0] = cols
-        for i in range(1, d):
-            v = basis[i - 1] << 1
-            v = np.where(v >= q, v ^ mod_int, v)
-            basis[i] = v
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            acc = mul[a]
-            bits = a
-            i = 0
-            while bits:
-                if bits & 1:
-                    acc ^= basis[i]
-                bits >>= 1
-                i += 1
-        self._add = None
-        self._neg = cols
-        self._mul = mul
-
-    def _build_tables_generic(self):
-        p, d, q = self.p, self.d, self.q
-        polys = [_code_to_poly(c, p, d) for c in range(q)]
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            fa = polys[a]
-            for b in range(a, q):
-                fb = polys[b]
-                s = tuple((x + y) % p for x, y in zip(fa, fb))
-                add[a, b] = add[b, a] = _poly_to_code(s, p)
-                m = _poly_mod(_poly_mul(fa, fb, p), self.modulus, p)
-                mul[a, b] = mul[b, a] = _poly_to_code(m, p)
-        self._add = add
-        self._mul = mul
-        neg = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            neg[a] = _poly_to_code(tuple((-c) % p for c in polys[a]), p)
-        self._neg = neg
-
-    def _finish_tables(self):
-        d, q = self.d, self.q
-        mul = self._mul
-        inv = np.zeros(q, dtype=np.int64)
-        ones = np.argwhere(mul == 1)
-        inv[ones[:, 0]] = ones[:, 1]
-        self._inv = inv
-        if self.p == 2:
-            frob = mul.diagonal().copy()
-        else:
-            frob = np.array([self.pow(a, self.p) for a in range(q)])
-        self._frob = frob
-        trace = np.zeros(q, dtype=np.int64)
-        x = np.arange(q)
-        for _ in range(d):
-            if self.p == 2:
-                trace ^= x
-            else:
-                trace = self._add[trace, x]
-            x = frob[x]
-        self._trace = trace
-
     # scalar operations on integer codes
 
     def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
         return int(self._add[a, b])
 
     def neg(self, a):
@@ -204,41 +181,13 @@ class Field:
             raise ZeroDivisionError("inversion of zero field element")
         return int(self._inv[a])
 
-    def pow(self, a, k):
-        if a == 0:
-            if k < 0:
-                raise ZeroDivisionError("inversion of zero field element")
-            return 0 if k else 1
-        k = k % (self.q - 1)
-        out, base = 1, a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
     def trace(self, a):
         """Absolute trace a + a^p + ... + a^(p^(d-1)), a code in GF(p)."""
         return int(self._trace[a])
 
-    def element_order(self, a):
-        if a == 0:
-            raise UsageError("zero has no multiplicative order")
-        k, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def primitive_element(self):
         """Least code generating the multiplicative group."""
-        for a in range(2, self.q):
-            if self.element_order(a) == self.q - 1:
-                return a
-        if self.q == 2:
-            return 1
-        raise AssertionError("no primitive element found")
+        return self._primitive
 
     def trace_zero(self):
         """All trace-zero elements, sorted by code.  Characteristic 2 only."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cc import algebraic_fusion, induced_color_action, tensor_bijections
 from .errors import UsageError
-from .gf import Field, QuadExtension, is_prime
+from .gf import Field, QuadExtension
 from .perm import PermGroup
 from .report import VerificationReport
 
@@ -155,76 +155,47 @@ class AffinePlanePoints:
     """Points of the affine plane GF(q)^2, indexed by x*q + y codes."""
 
     def __init__(self, q):
-        if q % 2 == 0 or q < 3 or not _is_prime_power(q):
+        if q % 2 == 0 or q < 3 or _prime_power(q) is None:
             raise UsageError(f"q = {q} must be an odd prime power, at least 3")
-        p, e = _prime_power(q)
-        self.field = Field(p, e)
+        self.field = Field(*_prime_power(q))
         self.q = q
 
     def __len__(self):
         return self.q * self.q
 
-    def affine_perm(self, a, b, c):
-        """(x, y) -> (a x + b, y/a + c) as a point permutation."""
-        F = self.field
-        q = self.q
-        a_inv = F.inv(a)
-        images = []
-        for x in range(q):
-            ax = F.add(F.mul(a, x), b)
-            base = ax * q
-            for y in range(q):
-                images.append(base + F.add(F.mul(a_inv, y), c))
-        return tuple(images)
-
-    def linear_perm(self, m00, m01, m10, m11):
-        """(x, y) -> (m00 x + m01 y, m10 x + m11 y) as a permutation."""
-        F = self.field
-        q = self.q
-        images = []
-        for x in range(q):
-            for y in range(q):
-                u = F.add(F.mul(m00, x), F.mul(m01, y))
-                v = F.add(F.mul(m10, x), F.mul(m11, y))
-                images.append(u * q + v)
-        return tuple(images)
+    def affine_perm(self, m00, m01, m10, m11, b, c):
+        """(x, y) -> (m00 x + m01 y + b, m10 x + m11 y + c) as a point
+        permutation, gathered from the field tables over the whole plane."""
+        add, mul, q = self.field._add, self.field._mul, self.q
+        x, y = np.ogrid[:q, :q]
+        u = add[add[mul[m00, x], mul[m01, y]], b].astype(np.int64)
+        v = add[add[mul[m10, x], mul[m11, y]], c]
+        return tuple((u * q + v).ravel().tolist())
 
     def frobenius_group_generators(self):
-        """Generators of the one-parameter affine maps: (a, b, c) among
-        (zeta, 0, 0), (1, 1, 0), (1, 0, 1)."""
+        """Generators of the one-parameter affine maps (x, y) -> (a x + b,
+        y/a + c): (a, b, c) among (zeta, 0, 0), (1, 1, 0), (1, 0, 1)."""
         zeta = self.field.primitive_element()
-        return [self.affine_perm(zeta, 0, 0),
-                self.affine_perm(1, 1, 0),
-                self.affine_perm(1, 0, 1)]
+        return [self.affine_perm(zeta, 0, 0, self.field.inv(zeta), 0, 0),
+                self.affine_perm(1, 0, 0, 1, 1, 0),
+                self.affine_perm(1, 0, 0, 1, 0, 1)]
 
     def signed_swap_generators(self):
         """Generators of the eight +-1 monomial matrices."""
-        F = self.field
-        minus = F.neg(1)
-        return [self.linear_perm(minus, 0, 0, 1),   # diag(-1, 1)
-                self.linear_perm(0, 1, 1, 0)]       # antidiagonal swap
-
-
-def _is_prime_power(q):
-    try:
-        _prime_power(q)
-        return True
-    except UsageError:
-        return False
+        minus = self.field.neg(1)
+        return [self.affine_perm(minus, 0, 0, 1, 0, 0),   # diag(-1, 1)
+                self.affine_perm(0, 1, 1, 0, 0, 0)]       # antidiagonal swap
 
 
 def _prime_power(q):
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise UsageError(f"{q} is not a prime power")
-            return p, e
-    raise UsageError(f"{q} is not a prime power")
+    """(p, e) with q = p^e for the least prime factor p of q >= 2, or None
+    when q has a second prime factor."""
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
 
 
 def passman_scheme(q):
@@ -292,8 +263,9 @@ def trace_label_check(q):
     # reflexive-target shape: c_{s s'}^{1} = n_s [s' = s*], so it is never 1
     # here (valency q+1 > 1); recorded once, independent of the bijection
     k = q + 1
+    transpose = cfg.transpose_map()
     refl_ok = all(
-        int(values[reflexive, r, s]) == (k if s == _transpose(cfg, r) else 0)
+        int(values[reflexive, r, s]) == (k if s == transpose[r] else 0)
         for r in irreflexive for s in irreflexive)
     rep.require("reflexive-target-shape", refl_ok)
 
@@ -314,6 +286,3 @@ def trace_label_check(q):
         rep.witnesses["bijection"] = dict(zip(t0, phi))
     return rep
 
-
-def _transpose(cfg, s):
-    return int(cfg.transpose_map()[s])

@@ -58,7 +58,8 @@ def triangle_identity_holds(tensor, transpose):
 
 def dot_product_colors(cfg, r, s):
     """Colors on the cells of the dot product r . s."""
-    assert cfg.target_fiber(r) == cfg.source_fiber(s)
+    source, target = cfg.fiber_colors()
+    assert target[r] == source[s]
     A = (cfg.colors == r).astype(np.int64)
     B = (cfg.colors == s).astype(np.int64)
     return sorted(np.unique(cfg.colors[(A @ B) > 0]).tolist())

@@ -44,6 +44,55 @@ def coeffs_of(code, p, d):
     return out
 
 
+def power(F, a, k):
+    """a^k by repeated F.mul; a negative exponent goes through F.inv."""
+    if k < 0:
+        a, k = F.inv(a), -k
+    out = 1
+    for _ in range(k):
+        out = F.mul(out, a)
+    return out
+
+
+ORACLE_FIELDS = ([(2, d) for d in range(1, 8)] + [(3, d) for d in range(1, 5)]
+                 + [(5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)])
+
+
+@pytest.mark.parametrize("p,d", ORACLE_FIELDS)
+def test_tables_against_polynomial_oracle(p, d):
+    F = Field(p, d)
+    q, m = F.q, list(F.modulus)
+    polys = [coeffs_of(a, p, d) for a in range(q)]
+    plus = [[code_of([(x + y) % p for x, y in zip(fa, fb)], p) for fb in polys]
+            for fa in polys]
+    times = [[code_of(oracle_mod(oracle_mul(fa, fb, p), m, p), p) for fb in polys]
+             for fa in polys]
+    assert F._add.tolist() == plus
+    assert F._mul.tolist() == times
+    assert [F.neg(a) for a in range(q)] == [plus[a].index(0) for a in range(q)]
+    assert [F.inv(a) for a in range(1, q)] == [times[a].index(1) for a in range(1, q)]
+    pth = []
+    for a in range(q):
+        y = 1
+        for _ in range(p):
+            y = times[y][a]
+        pth.append(y)
+    assert F._frob.tolist() == pth
+    for a in range(q):
+        # a + a^p + ... + a^(p^(d-1)) lies in GF(p), the codes below p
+        t, y = 0, a
+        for _ in range(d):
+            t, y = plus[t][y], pth[y]
+        assert t < p and F.trace(a) == t
+
+    def order(g):
+        k, y = 1, g
+        while y != 1:
+            y, k = times[y][g], k + 1
+        return k
+    assert F.primitive_element() == min(g for g in range(1, q) if order(g) == q - 1)
+
+
 def test_char2_addition_is_xor():
     F = Field(2, 3)
     alpha = 2
@@ -69,7 +118,7 @@ def test_gf8_multiplication_against_polynomial_oracle():
 def test_gf9_multiplicative_order():
     F = Field(3, 2)
     for g in range(1, 9):
-        assert F.pow(g, 8) == 1
+        assert power(F, g, 8) == 1
 
 
 def test_inverse_and_zero_division():
@@ -79,7 +128,7 @@ def test_inverse_and_zero_division():
         with pytest.raises(ZeroDivisionError):
             F.inv(0)
         with pytest.raises(ZeroDivisionError):
-            F.pow(0, -1)
+            power(F, 0, -1)
 
 
 def test_traces_gf8():
@@ -156,7 +205,7 @@ def test_element_wrapper_arithmetic():
     assert F.add(2, 4) == 1
     assert F.mul(2, 4) == 3
     assert F.mul(2, F.inv(4)) == 3
-    assert F.pow(2, 4) == 1
+    assert power(F, 2, 4) == 1
     assert F._frob[2] == 2
 
 

@@ -92,6 +92,56 @@ def test_passman_rejects_bad_q():
             passman_scheme(q)
 
 
+# reference point maps: the scalar double loops over the plane, x outer
+
+def reference_affine_perm(F, q, a, b, c):
+    """(x, y) -> (a x + b, y/a + c)."""
+    a_inv = F.inv(a)
+    images = []
+    for x in range(q):
+        base = F.add(F.mul(a, x), b) * q
+        for y in range(q):
+            images.append(base + F.add(F.mul(a_inv, y), c))
+    return tuple(images)
+
+
+def reference_linear_perm(F, q, m00, m01, m10, m11):
+    """(x, y) -> (m00 x + m01 y, m10 x + m11 y)."""
+    images = []
+    for x in range(q):
+        for y in range(q):
+            u = F.add(F.mul(m00, x), F.mul(m01, y))
+            v = F.add(F.mul(m10, x), F.mul(m11, y))
+            images.append(u * q + v)
+    return tuple(images)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+def test_plane_generators_match_reference_loops(q):
+    pts = AffinePlanePoints(q)
+    F = pts.field
+    zeta = F.primitive_element()
+    minus = F.neg(1)
+    expect_h = [reference_affine_perm(F, q, zeta, 0, 0),
+                reference_affine_perm(F, q, 1, 1, 0),
+                reference_affine_perm(F, q, 1, 0, 1)]
+    expect_d = [reference_linear_perm(F, q, minus, 0, 0, 1),
+                reference_linear_perm(F, q, 0, 1, 1, 0)]
+    got_h = pts.frobenius_group_generators()
+    got_d = pts.signed_swap_generators()
+    assert got_h == expect_h
+    assert got_d == expect_d
+    for g in got_h + got_d:
+        assert all(type(i) is int for i in g)
+
+
+@pytest.mark.parametrize("q", [1, 2, 15, 54])
+def test_plane_rejects_bad_q_with_message(q):
+    with pytest.raises(UsageError) as err:
+        AffinePlanePoints(q)
+    assert str(err.value) == f"q = {q} must be an odd prime power, at least 3"
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_one_parameter_group_is_frobenius(q):
     pts = AffinePlanePoints(q)
