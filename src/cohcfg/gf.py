@@ -78,11 +78,11 @@ class Field:
     non-leading coefficient code (sum c_i p^i over i < d) is least, so
     the basis, and every code downstream, is reproducible.
 
-    Construction tabulates the field in the narrowest integer type that
-    holds its codes.  The addition table grows one digit position at a
-    time (digitwise sums mod p, which is xor when p = 2).  Multiplying
-    every code by x follows from the modulus, and the least code whose
-    powers run through all q - 1 nonzero codes is the primitive element.
+    Construction tabulates the field in int16 (int32 from 2^15 codes on).
+    The addition table grows one digit position at a time (digitwise
+    sums mod p, which is xor when p = 2).  Multiplying every code by x
+    follows from the modulus, and the least code whose powers run
+    through all q - 1 nonzero codes is the primitive element.
     Its exp/log tables give the product, inverse and Frobenius tables,
     and the trace sums the Frobenius orbit with the addition table.
     """
@@ -96,7 +96,7 @@ class Field:
         self.d = d
         self.q = q = p ** d
         self.modulus = self._least_irreducible(p, d)
-        dtype = np.min_scalar_type(-q)
+        dtype = np.int16 if q < 2 ** 15 else np.int32
 
         # digit k of a code becomes the most significant one of the table
         # on p^(k+1) codes: add[(a, a'), (b, b')] = (a + b mod p, add[a', b'])
@@ -111,7 +111,9 @@ class Field:
         # modulus below its leading term
         codes = np.arange(q)
         top, rest = np.divmod(codes, q // p)
-        reduction = (-np.outer(np.arange(p), self.modulus[:d]) % p) @ p ** np.arange(d)
+        reduction = np.array([sum(-t * c % p * p ** i
+                                  for i, c in enumerate(self.modulus[:d]))
+                              for t in range(p)])
         times_x = add[rest * p, reduction[top]]
 
         def times(g):

@@ -155,9 +155,10 @@ class AffinePlanePoints:
     """Points of the affine plane GF(q)^2, indexed by x*q + y codes."""
 
     def __init__(self, q):
-        if q % 2 == 0 or q < 3 or _prime_power(q) is None:
+        pe = None if q % 2 == 0 or q < 3 else _prime_power(q)
+        if pe is None:
             raise UsageError(f"q = {q} must be an odd prime power, at least 3")
-        self.field = Field(*_prime_power(q))
+        self.field = Field(*pe)
         self.q = q
 
     def __len__(self):
