@@ -14,7 +14,7 @@ from .analysis import (AutGroup, automorphism_group, base_number,
 from .claims import known_claims, verify_claim
 from .errors import (ColorActionError, FormatError, IntegrityError,
                      ResourceLimitError, UsageError)
-from .gf import Field, QuadExtension
+from .gf import Field
 from .perm import PermGroup
 from .report import VerificationReport
 from .schemes import (hollmann_large, hollmann_small, passman_scheme,
@@ -23,9 +23,8 @@ from .wl import coherent_closure, extend_points, two_extension
 
 __all__ = [
     "AutGroup", "CoherentConfiguration", "ColorActionError", "Field",
-    "FormatError", "FusionMap", "IntegrityError",
-    "IntersectionTensor", "PermGroup", "QuadExtension",
-    "ResourceLimitError", "UsageError", "VerificationReport",
+    "FormatError", "FusionMap", "IntegrityError", "IntersectionTensor",
+    "PermGroup", "ResourceLimitError", "UsageError", "VerificationReport",
     "algebraic_fusion", "automorphism_group", "base_number",
     "check_bound_201444a", "check_cor_423939b", "coherent_closure",
     "extend_points", "hollmann_large", "hollmann_small",

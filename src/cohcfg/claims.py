@@ -210,15 +210,22 @@ def _is_relation_of(ext_colors, rows, cols, block):
     return not (inside & outside)
 
 
+def _first_fiber(q):
+    """The one-point extension X_a of the large scheme, the index and the
+    points of its first non-singleton fiber, and X_a restricted to it."""
+    xa = extension("large", q, (0,))
+    fibers = xa.fibers()
+    i = next(i for i, f in enumerate(fibers) if len(f) > 1)
+    return xa, i, fibers[i], xa.restriction(fibers[i].tolist())
+
+
 @claim("250720f")
 def _restriction_scheme(q):
     """(X_a) restricted to one nontrivial fiber: schurian, separable,
     automorphisms a dihedral group of order 2(q+1) containing a regular
     cycle, and any one-point extension partly regular."""
     rep = VerificationReport(claim="250720f", params={"q": q})
-    xa = extension("large", q, (0,))
-    delta = [f for f in xa.fibers() if len(f) > 1][0]
-    Y = xa.restriction(delta.tolist())
+    *_, Y = _first_fiber(q)
     rep.require("restriction-degree", Y.degree == q + 1, Y.degree)
     autY = automorphism_group(Y)
     rep.require("aut-order", autY.order == 2 * (q + 1), autY.order)
@@ -240,16 +247,12 @@ def _restriction_isomorphism(q):
     restriction map on automorphisms is a group isomorphism: orders
     agree and distinct automorphisms restrict distinctly."""
     rep = VerificationReport(claim="180520i", params={"q": q})
-    xa = extension("large", q, (0,))
-    fibers = xa.fibers()
-    delta_idx = next(i for i, f in enumerate(fibers) if len(f) > 1)
-    delta = fibers[delta_idx]
+    xa, delta_idx, delta, Y = _first_fiber(q)
     source, target = xa.fiber_colors()
     refl = xa.reflexive_colors()
     reached = target[(source == refl[delta_idx]) & (xa.valencies() == 1)]
     rep.require("hypothesis", bool(np.isin(refl, reached).all()))
     aut_full = automorphism_group(xa)
-    Y = xa.restriction(delta.tolist())
     aut_res = automorphism_group(Y)
     rep.require("orders-equal", aut_full.order == aut_res.order,
                 (aut_full.order, aut_res.order))
@@ -269,14 +272,12 @@ def _extension_schurian_separable(q):
     separable: schurity directly, separability through the restriction
     route; the two-dimensional consequence is recorded as an inference."""
     rep = VerificationReport(claim="030620i", params={"q": q})
-    xa = extension("large", q, (0,))
+    xa, _, _, Y = _first_fiber(q)
     rep.require("extension-schurian", is_schurian(xa).passed)
     sub = _restriction_scheme(q)
     rep.require("restriction-chain", sub.passed)
     hyp = _restriction_isomorphism(q)
     rep.require("restriction-isomorphism", hyp.passed)
-    delta = [f for f in xa.fibers() if len(f) > 1][0]
-    Y = xa.restriction(delta.tolist())
     yb = extend_points(Y, [0])
     rep.require("double-restricted-extension-partly-regular",
                 yb.is_partly_regular()[0])
@@ -317,14 +318,7 @@ def _small_two_point_extensions(q=32):
     """Two-point extensions of the small scheme, one representative pair
     per color, are partly regular."""
     rep = VerificationReport(claim="280520a", params={"q": q})
-    small, _ = small_scheme(q)
-    for t in range(small.rank):
-        if small.is_reflexive(t):
-            continue
-        a, b = small.first_pair(t)
-        ext = extension("small", q, (a, b))
-        flag, _ = ext.is_partly_regular()
-        rep.require(f"color-{t}", flag, witness=(a, b, ext.rank))
+    _require_partly_regular_pairs(rep, "small", q, small_scheme(q)[0])
     return rep
 
 
@@ -361,14 +355,19 @@ def _passman_two_point_extensions(q):
     bound = check_cor_423939b(cfg, t0)
     rep.witnesses["bound-route"] = bound.witnesses["hypothesis"]
     rep.witnesses["m_t"] = bound.witnesses["m_t"]
-    for t in range(cfg.rank):
-        if cfg.is_reflexive(t):
-            continue
-        a, b = cfg.first_pair(t)
-        ext = extension("passman", q, (a, b))
-        flag, _ = ext.is_partly_regular()
-        rep.require(f"color-{t}", flag, witness=(a, b, ext.rank))
+    _require_partly_regular_pairs(rep, "passman", q, cfg)
     return rep
+
+
+def _require_partly_regular_pairs(rep, family, q, cfg):
+    """Extend the family's scheme cfg at the first pair of each
+    irreflexive color and require the extension partly regular."""
+    for t in range(cfg.rank):
+        if not cfg.is_reflexive(t):
+            a, b = cfg.first_pair(t)
+            ext = extension(family, q, (a, b))
+            rep.require(f"color-{t}", ext.is_partly_regular()[0],
+                        witness=(a, b, ext.rank))
 
 
 @claim("201444a")

@@ -195,59 +195,8 @@ class Field:
         """All trace-zero elements, sorted by code.  Characteristic 2 only."""
         if self.p != 2:
             raise UsageError("trace-zero hyperplane is used in characteristic 2 only")
-        return [a for a in range(self.q) if self._trace[a] == 0]
+        return np.flatnonzero(self._trace == 0).tolist()
 
     def __repr__(self):
         return f"Field(p={self.p}, d={self.d}, modulus={self.modulus})"
 
-
-class QuadExtension:
-    """GF(q^2) over GF(q), q = 2^d, modeled as pairs a + b*x with x^2 = x + nu.
-
-    nu is the least trace-1 element of the base field, which makes
-    x^2 + x + nu irreducible and the q-power conjugation the O(1) map
-    (a, b) -> (a + b, b).
-    """
-
-    def __init__(self, base):
-        if base.p != 2:
-            raise UsageError("quadratic extension model requires characteristic 2")
-        self.base = base
-        self.q = base.q
-        nu = next(a for a in range(self.q) if base.trace(a) == 1)
-        self.nu = nu
-
-    def add(self, u, v):
-        F = self.base
-        return (F.add(u[0], v[0]), F.add(u[1], v[1]))
-
-    def conj(self, u):
-        """q-power Frobenius over the base field: (a, b) -> (a+b, b)."""
-        a, b = u
-        return (self.base.add(a, b), b)
-
-    def norm(self, u):
-        """u * conj(u), an element of the base field."""
-        a, b = u
-        F = self.base
-        return F.add(F.add(F.mul(a, a), F.mul(a, b)),
-                     F.mul(F.mul(b, b), self.nu))
-
-    def inv(self, u):
-        if u == (0, 0):
-            raise ZeroDivisionError("inversion of zero field element")
-        F = self.base
-        n_inv = F.inv(self.norm(u))
-        a, b = self.conj(u)
-        return (F.mul(a, n_inv), F.mul(b, n_inv))
-
-    def frob2(self, u):
-        """Squaring map of GF(q^2): (a, b) -> (a^2 + nu b^2, b^2)."""
-        F = self.base
-        a, b = u
-        b2 = F.mul(b, b)
-        return (F.add(F.mul(a, a), F.mul(b2, self.nu)), b2)
-
-    def scalar_mul(self, c, u):
-        F = self.base
-        return (F.mul(c, u[0]), F.mul(c, u[1]))

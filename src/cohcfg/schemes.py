@@ -8,8 +8,11 @@ acts on the affine plane over GF(q), q odd, through maps
 (x, y) -> (a x + b, y/a + c) together with the eight signed coordinate
 permutations.
 
-All point indexings are canonical in the field element codes, so the
-emitted color matrices are bit-exact across runs.
+Every point map of the three families is one numpy gather over the
+addition, product and inverse tables of GF(q): the image of every point
+at once, then its index.  All point indexings are canonical in the
+field element codes, so the emitted color matrices are bit-exact
+across runs.
 """
 
 import functools
@@ -18,7 +21,7 @@ import numpy as np
 
 from .cc import algebraic_fusion, induced_color_action, tensor_bijections
 from .errors import UsageError
-from .gf import Field, QuadExtension
+from .gf import Field
 from .perm import PermGroup
 from .report import VerificationReport
 
@@ -33,57 +36,53 @@ def _check_even_q(q):
 class ExteriorPairPoints:
     """The q(q-1)/2 conjugate pairs {w, w^q}, canonically indexed.
 
-    The representative of a pair {(a, b), (a+b, b)} is the one with the
-    smaller code of a; points are sorted by (b, a) codes.
+    GF(q^2) is modeled as the pairs a + b x over GF(q) with x^2 = x + nu,
+    nu the least code of trace 1: x^2 + x + c has a root in GF(q) exactly
+    when Tr(c) = 0, so x^2 + x + nu is irreducible, and conjugation
+    w -> w^q is (a, b) -> (a + b, b).  The exterior points are those with
+    b != 0.  A pair {(a, b), (a + b, b)} is represented by the member
+    with the smaller code of a, and points are sorted by (b, a) codes;
+    ``a`` and ``b`` hold the representatives' codes, and ``point[b, a]``
+    is the point of either member of a pair.  A point map is the image
+    of every representative, gathered from the base field's tables, read
+    through ``point``.
     """
 
     def __init__(self, q):
-        d = _check_even_q(q)
-        self.d = d
-        self.q = q
-        self.base = Field(2, d)
-        self.ext = QuadExtension(self.base)
-        reps = []
-        for b in range(1, q):
-            for a in range(q):
-                if a <= self.base.add(a, b):
-                    reps.append((a, b))
-        reps.sort(key=lambda ab: (ab[1], ab[0]))
-        self.reps = reps
-        self.index = {}
-        for i, ab in enumerate(reps):
-            self.index[ab] = i
-            self.index[self.ext.conj(ab)] = i
+        self.field = Field(2, _check_even_q(q))
+        add = self.field._add
+        b, a = np.divmod(np.arange(q, q * q), q)
+        keep = a <= add[a, b]
+        self.a, self.b = a[keep], b[keep]
+        self.point = np.zeros((q, q), np.intp)
+        self.point[self.b, self.a] = np.arange(self.a.size)
+        self.point[self.b, add[self.a, self.b]] = np.arange(self.a.size)
+        self.nu = np.flatnonzero(self.field._trace == 1)[0]
 
     def __len__(self):
-        return len(self.reps)
+        return self.a.size
 
-    def point_of(self, w):
-        return self.index[w]
-
-    def permutation_from_map(self, f):
-        """Point permutation induced by a conjugation-equivariant map."""
-        images = [self.point_of(f(w)) for w in self.reps]
-        return tuple(images)
+    def _permutation(self, a, b):
+        """The point permutation sending each representative to the pair
+        of a + b x."""
+        return tuple(self.point[b, a].tolist())
 
     def moebius_generators(self):
-        ext, base = self.ext, self.base
-        zeta = base.primitive_element()
-        one = (1, 0)
-
-        def shift(w):
-            return ext.add(w, one)
-
-        def scale(w):
-            return ext.scalar_mul(zeta, w)
-
-        def invert(w):
-            return ext.inv(w)
-
-        return [self.permutation_from_map(f) for f in (shift, scale, invert)]
+        """w -> w + 1, w -> zeta w and w -> 1/w = conj(w) / N(w), with the
+        norm N(a + b x) = a^2 + ab + nu b^2 in GF(q)."""
+        add, mul, a, b = self.field._add, self.field._mul, self.a, self.b
+        zeta = self.field.primitive_element()
+        n_inv = self.field._inv[add[add[mul[a, a], mul[a, b]],
+                                    mul[self.nu, mul[b, b]]]]
+        return [self._permutation(add[a, 1], b),
+                self._permutation(mul[zeta, a], mul[zeta, b]),
+                self._permutation(mul[add[a, b], n_inv], mul[b, n_inv])]
 
     def frobenius_permutation(self):
-        return self.permutation_from_map(self.ext.frob2)
+        """w -> w^2, that is (a, b) -> (a^2 + nu b^2, b^2)."""
+        add, mul, a, b = self.field._add, self.field._mul, self.a, self.b
+        b2 = mul[b, b]
+        return self._permutation(add[mul[a, a], mul[self.nu, b2]], b2)
 
 
 @functools.cache
@@ -113,13 +112,10 @@ def hollmann_small(q):
     d = _check_even_q(q)
     if d not in (3, 5, 7):
         raise UsageError(f"small scheme needs prime degree d in (3, 5, 7); got d = {d}")
-    points = ExteriorPairPoints(q)
-    gens = points.moebius_generators()
-    frob = points.frobenius_permutation()
-    group = PermGroup(len(points), gens + [frob])
+    large, moebius = hollmann_large(q)
+    frob = ExteriorPairPoints(q).frobenius_permutation()
+    group = PermGroup(large.degree, moebius.generators + [frob])
     cfg = group.orbitals()
-
-    large, _ = hollmann_large(q)
     phi = induced_color_action(large, frob)
     fused, fmap = algebraic_fusion(large, [phi])
     if fmap.order != d:

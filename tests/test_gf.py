@@ -1,7 +1,7 @@
 import pytest
 
 from cohcfg.errors import UsageError
-from cohcfg.gf import Field, QuadExtension, is_prime
+from cohcfg.gf import Field, is_prime
 
 
 # independent polynomial oracle: coefficient lists over GF(p), low degree
@@ -172,6 +172,14 @@ def test_gf8_trace_zero_exact():
     assert Field(2, 3).trace_zero() == [0, 2, 4, 6]
 
 
+def test_trace_zero_matches_the_scalar_trace():
+    for d in range(3, 11):
+        F = Field(2, d)
+        t0 = F.trace_zero()
+        assert t0 == [a for a in range(F.q) if F.trace(a) == 0]
+        assert all(type(a) is int for a in t0)
+
+
 def test_frobenius_is_automorphism():
     for F in (Field(2, 3), Field(3, 2), Field(2, 5)):
         for a in range(F.q):
@@ -207,6 +215,62 @@ def test_element_wrapper_arithmetic():
     assert F.mul(2, F.inv(4)) == 3
     assert power(F, 2, 4) == 1
     assert F._frob[2] == 2
+
+
+# Frozen reference: the scalar model of GF(q^2) that built the exterior
+# pair maps before they became table gathers, kept as it was so that
+# tests/test_schemes.py can compare the gathers with it.
+
+class QuadExtension:
+    """GF(q^2) over GF(q), q = 2^d, modeled as pairs a + b*x with x^2 = x + nu.
+
+    nu is the least trace-1 element of the base field, which makes
+    x^2 + x + nu irreducible and the q-power conjugation the O(1) map
+    (a, b) -> (a + b, b).
+    """
+
+    def __init__(self, base):
+        if base.p != 2:
+            raise UsageError("quadratic extension model requires characteristic 2")
+        self.base = base
+        self.q = base.q
+        nu = next(a for a in range(self.q) if base.trace(a) == 1)
+        self.nu = nu
+
+    def add(self, u, v):
+        F = self.base
+        return (F.add(u[0], v[0]), F.add(u[1], v[1]))
+
+    def conj(self, u):
+        """q-power Frobenius over the base field: (a, b) -> (a+b, b)."""
+        a, b = u
+        return (self.base.add(a, b), b)
+
+    def norm(self, u):
+        """u * conj(u), an element of the base field."""
+        a, b = u
+        F = self.base
+        return F.add(F.add(F.mul(a, a), F.mul(a, b)),
+                     F.mul(F.mul(b, b), self.nu))
+
+    def inv(self, u):
+        if u == (0, 0):
+            raise ZeroDivisionError("inversion of zero field element")
+        F = self.base
+        n_inv = F.inv(self.norm(u))
+        a, b = self.conj(u)
+        return (F.mul(a, n_inv), F.mul(b, n_inv))
+
+    def frob2(self, u):
+        """Squaring map of GF(q^2): (a, b) -> (a^2 + nu b^2, b^2)."""
+        F = self.base
+        a, b = u
+        b2 = F.mul(b, b)
+        return (F.add(F.mul(a, a), F.mul(b2, self.nu)), b2)
+
+    def scalar_mul(self, c, u):
+        F = self.base
+        return (F.mul(c, u[0]), F.mul(c, u[1]))
 
 
 # QuadExtension oracle: schoolbook product with x^2 = x + nu, and every
@@ -250,11 +314,6 @@ def test_quad_extension_squaring():
     Q = QuadExtension(F)
     for w in quad_elements(Q):
         assert Q.frob2(w) == quad_mul(Q, w, w)
-
-
-def test_quad_extension_needs_char2():
-    with pytest.raises(UsageError):
-        QuadExtension(Field(3, 1))
 
 
 def test_is_prime():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,64 @@ from cohcfg.perm import PermGroup
 from cohcfg.schemes import (AffinePlanePoints, ExteriorPairPoints,
                             hollmann_large, hollmann_small, passman_scheme,
                             trace_label_check)
+from test_gf import QuadExtension, quad_elements, quad_mul
+
+
+class ReferenceExteriorPairPoints:
+    """Frozen reference: the exterior pair points as they were built from
+    the scalar QuadExtension model, one Python call per point per map."""
+
+    def __init__(self, q):
+        d = q.bit_length() - 1
+        self.d = d
+        self.q = q
+        self.base = Field(2, d)
+        self.ext = QuadExtension(self.base)
+        reps = []
+        for b in range(1, q):
+            for a in range(q):
+                if a <= self.base.add(a, b):
+                    reps.append((a, b))
+        reps.sort(key=lambda ab: (ab[1], ab[0]))
+        self.reps = reps
+        self.index = {}
+        for i, ab in enumerate(reps):
+            self.index[ab] = i
+            self.index[self.ext.conj(ab)] = i
+
+    def __len__(self):
+        return len(self.reps)
+
+    def point_of(self, w):
+        return self.index[w]
+
+    def permutation_from_map(self, f):
+        """Point permutation induced by a conjugation-equivariant map."""
+        images = [self.point_of(f(w)) for w in self.reps]
+        return tuple(images)
+
+    def moebius_generators(self):
+        ext, base = self.ext, self.base
+        zeta = base.primitive_element()
+        one = (1, 0)
+
+        def shift(w):
+            return ext.add(w, one)
+
+        def scale(w):
+            return ext.scalar_mul(zeta, w)
+
+        def invert(w):
+            return ext.inv(w)
+
+        return [self.permutation_from_map(f) for f in (shift, scale, invert)]
+
+    def frobenius_permutation(self):
+        return self.permutation_from_map(self.ext.frob2)
 
 
 def test_exterior_pair_model():
-    pts = ExteriorPairPoints(8)
+    pts = ReferenceExteriorPairPoints(8)
     assert len(pts) == 28
     # representatives are conjugation-canonical and sorted by (b, a)
     ext = pts.ext
@@ -18,6 +74,59 @@ def test_exterior_pair_model():
         assert w[1] != 0
         assert pts.point_of(w) == i
         assert pts.point_of(ext.conj(w)) == i
+
+
+@pytest.mark.parametrize("q", [8, 16, 32, 64, 128])
+def test_exterior_pair_gathers_match_the_reference(q):
+    pts, ref = ExteriorPairPoints(q), ReferenceExteriorPairPoints(q)
+    assert len(pts) == len(ref)
+    assert list(zip(pts.a.tolist(), pts.b.tolist())) == ref.reps
+    got = pts.moebius_generators() + [pts.frobenius_permutation()]
+    want = ref.moebius_generators() + [ref.frobenius_permutation()]
+    assert got == want
+    assert all(type(x) is int for g in got for x in g)
+
+
+@pytest.mark.parametrize("q", [8, 16, 32])
+def test_exterior_pair_maps_against_schoolbook_products(q):
+    # GF(q^2) from the schoolbook product alone: nu by its trace
+    # a + a^2 + ... + a^(q/2), zeta by its order, conjugation as w^q,
+    # inverses by search
+    F = Field(2, q.bit_length() - 1)
+
+    def trace(a):
+        out, x = 0, a
+        for _ in range(F.d):
+            out, x = F.add(out, x), F.mul(x, x)
+        return out
+
+    def order(a):
+        k, x = 1, a
+        while x != 1:
+            k, x = k + 1, F.mul(x, a)
+        return k
+
+    Q = SimpleNamespace(base=F, q=q, nu=min(a for a in range(q) if trace(a) == 1))
+    zeta = min(a for a in range(1, q) if order(a) == q - 1)
+
+    def conj(w):
+        for _ in range(F.d):
+            w = quad_mul(Q, w, w)
+        return w
+
+    reps = [w for w in quad_elements(Q) if w[1] and w[0] < conj(w)[0]]
+    point = {}
+    for i, w in enumerate(reps):
+        point[w] = point[conj(w)] = i
+    nonzero = [v for v in quad_elements(Q) if v != (0, 0)]
+    maps = [lambda w: (F.add(w[0], 1), w[1]),
+            lambda w: quad_mul(Q, (zeta, 0), w),
+            lambda w: next(v for v in nonzero if quad_mul(Q, w, v) == (1, 0)),
+            lambda w: quad_mul(Q, w, w)]
+    pts = ExteriorPairPoints(q)
+    assert len(pts) == len(reps)
+    assert pts.moebius_generators() + [pts.frobenius_permutation()] == \
+        [tuple(point[f(w)] for w in reps) for f in maps]
 
 
 def test_moebius_generators_act_on_exterior_points():
@@ -229,3 +338,4 @@ def test_hollmann_small_reuses_the_large_scheme(monkeypatch):
     monkeypatch.setattr(PermGroup, "orbitals", counted)
     hollmann_small(8)
     assert painted == [28]
+    assert hollmann_large(8)[1].generators == ExteriorPairPoints(8).moebius_generators()
