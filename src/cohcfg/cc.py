@@ -44,7 +44,8 @@ def color_classes(flat):
 
     The inverse is ``flat`` itself when the ids are already 0..r-1, a
     lookup table when the largest id is below the cell count, and a
-    binary search otherwise (a table that size could exhaust memory).
+    running count over the sorted cells otherwise (a table that size
+    could exhaust memory).
     """
     flat = np.asarray(flat).ravel()
     order = cells_by_color(flat)
@@ -61,7 +62,8 @@ def color_classes(flat):
         table[values] = np.arange(r)
         inverse = table[flat]
     else:
-        inverse = np.searchsorted(values, flat)
+        inverse = np.empty(flat.size, dtype=np.int64)
+        inverse[order] = np.cumsum(change) - 1
     return values, first, inverse
 
 
@@ -110,6 +112,17 @@ def _first_row_counts(M, first_rows):
     return np.bincount(M[first_rows[M] == rows], minlength=len(first_rows))
 
 
+def checked_colors(colors):
+    """The color matrix as an array; UsageError unless it is square with
+    nonnegative ids."""
+    colors = np.asarray(colors)
+    if colors.ndim != 2 or colors.shape[0] != colors.shape[1]:
+        raise UsageError("color matrix must be square")
+    if colors.size and colors.min() < 0:
+        raise UsageError("color ids must be nonnegative")
+    return colors
+
+
 class CoherentConfiguration:
     """Color-matrix rainbow with cached fiber, valency and tensor data.
 
@@ -119,11 +132,7 @@ class CoherentConfiguration:
     """
 
     def __init__(self, colors):
-        colors = np.asarray(colors)
-        if colors.ndim != 2 or colors.shape[0] != colors.shape[1]:
-            raise UsageError("color matrix must be square")
-        if colors.size and colors.min() < 0:
-            raise UsageError("color ids must be nonnegative")
+        colors = checked_colors(colors)
         colors = np.ascontiguousarray(canonicalize_colors(colors), dtype=np.int64)
         colors.setflags(write=False)
         self.colors = colors

@@ -1,8 +1,15 @@
 """Coherent closure: 2-dimensional Weisfeiler-Leman stabilization.
 
 Each round recolors every pair (a, b) by its old color and the multiset
-of color pairs (c(a, g), c(g, b)) over all points g.  `stabilize` runs
-in two phases.
+of color pairs (c(a, g), c(g, b)) over all points g.  `stabilize` first
+numbers the cells by (color, transposed color, diagonal flag) and by the
+fibers, the diagonal color classes, of their row and column points
+(`_normalize`).  Exact round 1 makes that fiber split too: its term
+g = a is (c(a, a), c(a, b)), and a diagonal color occurs nowhere off
+the diagonal, so the multiset names the fibers of a and b.  A
+configuration that is stable but for a few recolored diagonal cells,
+such as a point extension or a node of the automorphism search, thus
+needs one hash round fewer.  Then it runs in two phases.
 
 1. Hash rounds.  The multiset of a cell is replaced by three bilinear
    hashes H = A[M] @ B[M], with A and B seeded random integer weights
@@ -11,7 +18,9 @@ in two phases.
    the BLAS adds in.  Cells are grouped by one 64-bit key holding the
    old color exactly and a fold of the three hashes, and renumbered by
    first appearance in row-major order.  Rounds repeat until the rank
-   stops growing.
+   stops growing.  The round that splits nothing is recognized before
+   the sort: every cell's key equals that of one cell of its old class,
+   and the matrix is returned as it is.
 2. Exact certificate.  The cells are visited in color order; each
    cell's sorted composition codes are compared with those of the
    previous cell of the same color (one cell of each transposed pair
@@ -30,18 +39,25 @@ The codes of the 496-point extensions fit 16 bits where c * r + c'
 needs 32 or 64; the narrowest integer type that holds them is sorted.
 
 Equal multisets hash equal, so every hash round is no finer than the
-exact round; by induction the hash partition is never finer than the
-exact WL partition.  A certified partition is coherent and refines the
-input, so it is also no coarser than the coarsest coherent refinement;
-the two are equal.  First-appearance ids depend on the partition only,
-so the returned ids are those of exact WL rounds.
+exact round, and the fiber split is no finer than exact round 1; by
+induction the hash partition is never finer than the exact WL
+partition.  A certified partition is coherent and refines the input, so
+it is also no coarser than the coarsest coherent refinement; the two
+are equal.  First-appearance ids depend on the partition only, so the
+returned ids are those of exact WL rounds.  Where the fiber split
+splits nothing, the normalized ids are those of the untagged code, as
+in an exact run whose first round splits nothing.  Where it splits a
+class and no hash round splits anything after it, the result is
+renumbered by first appearance once, at the end, as exact round 1 would
+have done.
 """
 
 import math
 
 import numpy as np
 
-from .cc import CoherentConfiguration, cells_by_color
+from .cc import (CoherentConfiguration, cells_by_color, checked_colors,
+                 color_classes, first_occurrence_relabel)
 from .errors import ResourceLimitError, UsageError
 
 TWO_EXTENSION_DEGREE_LIMIT = 30
@@ -57,18 +73,36 @@ _MAX_REPORT = 5  # distinct violated triples coherence_violations returns
 
 
 def _normalize(colors):
-    """Contiguous ids refined by (color, transposed color, diagonal flag).
+    """Contiguous ids refined by (color, transposed color, diagonal flag,
+    fiber of the row point, fiber of the column point); returns (ids,
+    split), with ``split`` telling whether the fiber tags split a class.
 
     Enforces the rainbow preconditions: the diagonal is separated from
     off-diagonal cells and every class has a well defined transpose.
+    The fibers are the diagonal color classes.  Ids outside 0..n^2 - 1
+    are first compacted in order, so r <= n^2 and the code c * r + c'
+    stays below 2 * n^4, within int64 up to n = 46340 (a 17 GB matrix);
+    the fiber tags widen it k^2 times (k fibers), and where that could
+    pass 2^63 the untagged code is compacted first.
+    Ids number the codes in increasing order: where the tags split
+    nothing, they are the ids of the untagged code.
     """
     c = np.asarray(colors, dtype=np.int64)
     n = c.shape[0]
+    if c.size and (c.min() < 0 or c.max() >= n * n):
+        c = np.unique(c, return_inverse=True)[1].reshape(n, n)
     r = int(c.max()) + 1 if c.size else 1
-    eye = np.eye(n, dtype=np.int64)
-    code = (c * r + c.T) * 2 + eye
-    _, inv = np.unique(code, return_inverse=True)
-    return inv.reshape(n, n)
+    fiber = np.unique(np.diagonal(c), return_inverse=True)[1]
+    k = int(fiber.max()) + 1 if n else 1
+    code = (c * r + c.T) * 2
+    code[np.diag_indices(n)] += 1              # the diagonal flag
+    if 2 * r * r * k * k > 1 << 63:
+        code = color_classes(code)[2].reshape(n, n)
+    code *= k * k
+    code += fiber[:, None] * k + fiber
+    values, _, ids = color_classes(code)
+    untagged = values // (k * k)
+    return ids.reshape(n, n), bool(np.any(untagged[1:] == untagged[:-1]))
 
 
 def _hash_modulus(n):
@@ -83,6 +117,8 @@ def _hash_round(M, r, rng):
     The three exact hashes are folded into one 64-bit key whose low bits
     hold the old color: a collision can keep together cells of one old
     class that the exact round would split, but never joins two classes.
+    A round that splits nothing returns M itself, found without a sort:
+    every cell's key then equals the key of one cell of its old class.
     """
     n = M.shape[0]
     p = _hash_modulus(n)
@@ -91,15 +127,19 @@ def _hash_round(M, r, rng):
         A, B = rng.integers(1, p, size=(2, r)).astype(np.float64)
         key += (A[M] @ B[M]).ravel().astype(np.uint64) * mix
     key <<= np.uint64(max(1, (r - 1).bit_length()))
-    key |= M.ravel().astype(np.uint64)
+    flat = M.ravel()
+    key |= flat.astype(np.uint64)
+    class_key = np.empty(r, dtype=np.uint64)
+    class_key[flat] = key                       # the key of one cell per class
+    if np.array_equal(key, class_key[flat]):
+        return M, r
+    del class_key       # freed before the sort, whose arrays set the peak
     order = np.argsort(key)
     change = np.empty(order.size, dtype=bool)
     change[0] = True
     sorted_key = key[order]
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
     starts = np.flatnonzero(change)
-    if starts.size == r:
-        return M, r
     # new ids by first appearance in row-major order
     first = np.minimum.reduceat(order, starts)
     rank_of = np.empty(starts.size, dtype=np.int64)
@@ -242,7 +282,7 @@ def stabilize(colors, *, certify=True):
     depends on color ids only, so every bijection of the points that
     preserves the input colors preserves each of its classes.
     """
-    M = _normalize(colors)
+    M, split = _normalize(colors)
     n = M.shape[0]
     if n == 0:
         return M
@@ -251,10 +291,12 @@ def stabilize(colors, *, certify=True):
     while r < n * n:
         M2, r2 = _hash_round(M, r, rng)
         if r2 > r:
-            M, r = M2, r2
+            M, r, split = M2, r2, False
         elif not certify or _is_coherent(M):
             break
-    return M
+    # ids by first appearance, as after the exact round that the fiber
+    # split stands for
+    return first_occurrence_relabel(M) if split else M
 
 
 def coherent_closure(colors):
@@ -309,9 +351,10 @@ def coherence_violations(colors):
     `stabilize`.  Otherwise every cell, in color order, goes to the
     composition kernel, which names a violated triple for each cell
     whose codes differ from the previous cell of its color; the first
-    five distinct triples are returned.
+    five distinct triples are returned.  The matrix must be square with
+    nonnegative ids (`CoherentConfiguration`'s conditions).
     """
-    M = np.asarray(colors, dtype=np.int64)
+    M = np.asarray(checked_colors(colors), dtype=np.int64)
     if _is_coherent(M):
         return []
     violations = []

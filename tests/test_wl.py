@@ -311,7 +311,9 @@ def test_raw_ids_match_reference_on_wl_hard_inputs():
 def test_stable_input_keeps_normalize_ids():
     M = SHRIKHANDE
     out = stabilize(M)
-    assert np.array_equal(out, wl._normalize(M))
+    ids, split = wl._normalize(M)
+    assert not split
+    assert np.array_equal(out, ids)
     assert np.array_equal(out, reference_stabilize(M))
     # the normalize ids are not first-appearance ids, so the check has teeth
     assert not np.array_equal(out, first_appearance(out))
@@ -465,12 +467,90 @@ class ConstantWeights:
         return np.ones(size, dtype=np.int64)
 
 
+class ParityWeights:
+    def integers(self, low, high, size):
+        return np.arange(np.prod(size)).reshape(size) % 2 + 1
+
+
 def test_hash_round_never_merges_classes(hollmann8):
     # constant weights hash every cell alike; the old colors must survive
-    M = wl._normalize(with_fixed_points(hollmann8[0], [0]))
+    M, _ = wl._normalize(with_fixed_points(hollmann8[0], [0]))
     r = int(M.max()) + 1
     out, rank = wl._hash_round(M, r, ConstantWeights())
     assert rank == r and np.array_equal(out, M)
+    # weights 1 and 2 collide across classes, but the sorted round that
+    # splits some class still keeps every new class inside an old one
+    out, rank = wl._hash_round(M, r, ParityWeights())
+    assert rank > r
+    assert refines(CoherentConfiguration(out), CoherentConfiguration(M))
+
+
+def test_hash_round_returns_a_stable_matrix_unchanged(hollmann8):
+    M, _ = wl._normalize(hollmann8[0].colors)
+    r = int(M.max()) + 1
+    out, rank = wl._hash_round(M, r, np.random.default_rng(1))
+    assert out is M and rank == r
+
+
+def count_hash_rounds(monkeypatch):
+    real, rounds = wl._hash_round, []
+
+    def counting(M, r, rng):
+        out = real(M, r, rng)
+        rounds.append(out[0] is M)
+        return out
+
+    monkeypatch.setattr(wl, "_hash_round", counting)
+    return rounds
+
+
+def test_fiber_split_saves_one_round_per_recolored_call(monkeypatch, hollmann8,
+                                                        hollmann16):
+    # hash rounds alone take four rounds here; the fiber split does the
+    # first, and the last, which splits nothing, skips the sort
+    rounds = count_hash_rounds(monkeypatch)
+    extend_points(hollmann8[0], [0])
+    assert (len(rounds), sum(rounds)) == (4 - 1, 1)
+    # ten stabilizations that hash rounds alone close in 30 rounds; the
+    # root has one fiber, so only the nine individualizations save one,
+    # and every call ends in one round that skips the sort
+    rounds.clear()
+    analysis.automorphism_group(hollmann16[0])
+    assert (len(rounds), sum(rounds)) == (30 - 9, 10)
+
+
+def test_closure_of_large_and_negative_ids():
+    # ids far above n^2 gave c * r + c' out of int64 range
+    big = np.array([[2 ** 33, 2 ** 32, 0], [0, 2 ** 33, 2 ** 32],
+                    [2 ** 32, 0, 2 ** 33]])
+    small = np.array([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
+    assert coherent_closure(big).same_partition(thin_scheme(3))
+    assert np.array_equal(stabilize(big), stabilize(small))
+    # negative ids gave r = max + 1 too small, so the codes aliased
+    neg = np.array([[-2, -1, -2], [-1, 0, 0], [-1, -2, -2]])
+    assert coherent_closure(neg).rank == coherent_closure(neg + 2).rank == 9
+    assert np.array_equal(stabilize(neg), stabilize(neg + 2))
+    assert np.array_equal(stabilize(neg + 2), reference_stabilize(neg + 2))
+    extreme = np.array([[-2 ** 62, 2 ** 62], [2 ** 62, 2 ** 62 - 1]])
+    assert np.array_equal(stabilize(extreme), reference_stabilize([[0, 2], [2, 1]]))
+
+
+def test_fiber_tagged_codes_do_not_overflow():
+    # all ids distinct: r = n^2 and k = n fibers, so the tagged code
+    # c * r + c' times k^2 would pass 2^63 from n = 1291 on
+    n = 1291
+    assert 2 * n ** 6 > 1 << 63
+    M = np.arange(n * n).reshape(n, n)
+    assert np.array_equal(stabilize(M), M)
+
+
+def test_coherence_violations_refuses_bad_matrices():
+    with pytest.raises(UsageError, match="square"):
+        coherence_violations(np.zeros((2, 3), dtype=int))
+    with pytest.raises(UsageError, match="square"):
+        coherence_violations(np.zeros(4, dtype=int))
+    with pytest.raises(UsageError, match="nonnegative"):
+        coherence_violations(np.array([[0, -1], [-1, 0]]))
 
 
 def test_hash_products_are_exact():
