@@ -34,6 +34,7 @@ partition; a collision can only make the search visit more nodes, and
 every leaf bijection is still verified cell by cell.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +44,10 @@ from .errors import ResourceLimitError, UsageError
 from .gf import Field
 from .perm import PermGroup
 from .report import VerificationReport
-from .wl import extend_points, stabilize
+from .wl import extend_points, require_stabilize_memory, stabilize
 
-AUT_GENERIC_DEGREE_LIMIT = 150
+# time guards; memory is budgeted where `stabilize` and `tensor` allocate
 SEPARABILITY_RANK_LIMIT = 10
-SEPARABILITY_DEGREE_LIMIT = 40
-BASE_EXACT_DEGREE_LIMIT = 200
 BASE_EXACT_DEPTH_LIMIT = 4
 
 
@@ -135,26 +134,19 @@ def automorphism_group(cfg):
     automorphism from the image of a regular point by following the
     valency-1 rows; the trivial scheme has the full symmetric group
     (method "known-group-confirmed").  Otherwise the doubled-structure
-    search runs, guarded by degree.
+    search runs, its memory checked by `stabilize` on 2n points.
     """
     n = cfg.degree
     if cfg.is_trivial_scheme() and n >= 2:
         gens = [tuple([1, 0] + list(range(2, n)))]
         if n > 2:
             gens.append(tuple(list(range(1, n)) + [0]))
-        order = 1
-        for i in range(2, n + 1):
-            order *= i
         return AutGroup(PermGroup(n, gens), "known-group-confirmed", gens,
-                        order_hint=order)
+                        order_hint=math.factorial(n))
     flag, regulars = cfg.is_partly_regular()
     if flag:
         gens = _partly_regular_automorphisms(cfg, regulars[0])
         return AutGroup(PermGroup(n, gens), "partly-regular-fastpath", gens)
-    if n > AUT_GENERIC_DEGREE_LIMIT:
-        raise ResourceLimitError(
-            f"generic automorphism search guard: degree {n} > "
-            f"{AUT_GENERIC_DEGREE_LIMIT}")
     gens = _generic_automorphism_generators(cfg)
     return AutGroup(PermGroup(n, gens), "individualization-refinement", gens)
 
@@ -187,19 +179,13 @@ class _DoubledSearch:
     def __init__(self, cfg, phi=None):
         self.cfg = cfg
         self.n = n = cfg.degree
+        require_stabilize_memory(2 * n)   # before the double is built
         M = cfg.colors
         r = cfg.rank
-        if phi is None:
-            M2 = M
-            self.phi = np.arange(r)
-        else:
-            self.phi = np.asarray(phi, dtype=np.int64)
-            inv_phi = np.empty(r, dtype=np.int64)
-            inv_phi[self.phi] = np.arange(r)
-            M2 = inv_phi[M]
+        self.phi = np.arange(r) if phi is None else np.asarray(phi, dtype=np.int64)
         U = np.full((2 * n, 2 * n), r, dtype=np.int64)
         U[:n, :n] = M
-        U[n:, n:] = M2
+        U[n:, n:] = np.argsort(self.phi)[M]   # copy 2 colored by phi^-1
         self.root = stabilize(U, certify=False)
 
     def _balanced(self, U):
@@ -330,13 +316,12 @@ def algebraic_automorphisms(cfg):
     allowed onto the colors of its reflexivity and valency.  The transpose
     pairing needs no check of its own: c_{s s'}^{1} is nonzero exactly
     when s' = s*, so a tensor-preserving bijection that keeps reflexive
-    colors reflexive also keeps transposes.  Guarded by rank and degree.
+    colors reflexive also keeps transposes.  Guarded by rank, for time.
     """
-    if cfg.rank > SEPARABILITY_RANK_LIMIT or cfg.degree > SEPARABILITY_DEGREE_LIMIT:
+    if cfg.rank > SEPARABILITY_RANK_LIMIT:
         raise ResourceLimitError(
             "algebraic automorphism enumeration guard: "
-            f"rank {cfg.rank} > {SEPARABILITY_RANK_LIMIT} or degree "
-            f"{cfg.degree} > {SEPARABILITY_DEGREE_LIMIT}")
+            f"rank {cfg.rank} > {SEPARABILITY_RANK_LIMIT}")
     values = cfg.tensor().values
     refl = np.array([cfg.is_reflexive(s) for s in range(cfg.rank)])
     v = cfg.valencies()
@@ -358,7 +343,8 @@ def is_separable_small(cfg):
     they are the orbital configurations of groups with a faithful
     regular orbit; they short-circuit without search.  Otherwise every
     algebraic automorphism is enumerated and certified to be induced by
-    a point bijection found by the doubled-structure search.
+    a point bijection found by the doubled-structure search, under the
+    rank guard of `algebraic_automorphisms` and the budget of `stabilize`.
     """
     rep = VerificationReport(claim="separable")
     flag, _ = cfg.is_partly_regular()
@@ -419,7 +405,8 @@ def base_number(cfg, mode="greedy"):
 
     greedy: repeatedly individualize the least point of a largest fiber;
     an upper bound.  exact: breadth-first over tuple sizes, one
-    representative tuple per orbit of the automorphism group.
+    representative tuple per orbit of the automorphism group, whose
+    search's ResourceLimitError propagates.
     """
     if mode not in ("greedy", "exact"):
         raise UsageError(f"unknown base number mode {mode!r}")
@@ -433,14 +420,7 @@ def base_number(cfg, mode="greedy"):
             cur = extend_points(cur, [int(fiber[0])])
             count += 1
         return count
-    if cfg.degree > BASE_EXACT_DEGREE_LIMIT:
-        raise ResourceLimitError(
-            f"exact base number guard: degree {cfg.degree} > "
-            f"{BASE_EXACT_DEGREE_LIMIT}")
-    try:
-        aut = automorphism_group(cfg).group
-    except ResourceLimitError:
-        aut = PermGroup(cfg.degree, [])
+    aut = automorphism_group(cfg).group
     for size in range(1, BASE_EXACT_DEPTH_LIMIT + 1):
         for tup in _tuple_representatives(aut, (), size):
             if extend_points(cfg, tup).is_discrete():

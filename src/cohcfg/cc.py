@@ -12,11 +12,9 @@ a stable sort of the ids in linear time (radix passes of 16 bits), and
 
 import numpy as np
 
-from .errors import UsageError, IntegrityError, ResourceLimitError, ColorActionError
+from .errors import UsageError, IntegrityError, ColorActionError, require_memory
 from .perm import PermGroup
 from .report import VerificationReport
-
-TENSOR_RANK_LIMIT = 256
 
 
 def cells_by_color(flat):
@@ -237,14 +235,13 @@ class CoherentConfiguration:
         each color's representative listed first.  A mismatch means the
         matrix was not coherent and raises IntegrityError naming the
         triple.  ``validate("full")`` checks every pair at any degree.
+        The r^3 int32 values are checked against the budget first.
         """
         if seed < 0:
             raise UsageError("seed must be nonnegative")
         if self._tensor is not None:
             return self._tensor
-        if self.rank > TENSOR_RANK_LIMIT:
-            raise ResourceLimitError(
-                f"tensor guard: rank {self.rank} > {TENSOR_RANK_LIMIT}")
+        require_memory(self.rank ** 3 * 4, f"tensor of rank {self.rank}")
         from .wl import _composition_mismatches
         n, r = self.degree, self.rank
         M = self.colors
@@ -269,7 +266,7 @@ class CoherentConfiguration:
             raise IntegrityError(
                 f"intersection number not constant on color {bad[2]}",
                 triple=bad)
-        self._tensor = IntersectionTensor(values, self.valencies().copy(), self.degree)
+        self._tensor = IntersectionTensor(values, self.valencies().copy())
         return self._tensor
 
     def indistinguishing_numbers(self):
@@ -394,33 +391,31 @@ def values_sum_rr(values, transpose, s):
 class IntersectionTensor:
     """Dense intersection numbers c[t, r, s] with the valency vector."""
 
-    def __init__(self, values, valencies, degree):
+    def __init__(self, values, valencies):
         self.values = values
         self.valencies = valencies
-        self.degree = degree
-        self.rank = values.shape[0]
 
     def row_sums_ok(self):
-        """Sum over s of c_{rs}^t equals n_r whenever the fibers compose."""
-        v = self.values.astype(np.int64)
-        sums = v.sum(axis=2)  # [t, r]
-        for t in range(self.rank):
-            for r in range(self.rank):
-                if sums[t, r] not in (0, int(self.valencies[r])):
-                    return False, (t, r)
-        return True, None
+        """Sum over s of c_{rs}^t equals n_r whenever the fibers compose;
+        else the first failing (t, r) in row-major order."""
+        sums = self.values.astype(np.int64).sum(axis=2)  # [t, r]
+        return _zero_or_expected(sums, self.valencies.astype(np.int64))
 
     def product_identity_ok(self):
-        """Sum over t of c_{rs}^t n_t equals n_r n_s on composing fibers."""
+        """Sum over t of c_{rs}^t n_t equals n_r n_s on composing fibers;
+        else the first failing (r, s) in row-major order."""
         v = self.values.astype(np.int64)
         nt = self.valencies.astype(np.int64)
         lhs = np.tensordot(nt, v, axes=(0, 0))  # [r, s]
-        for r in range(self.rank):
-            for s in range(self.rank):
-                expect = int(nt[r]) * int(nt[s])
-                if lhs[r, s] not in (0, expect):
-                    return False, (r, s)
+        return _zero_or_expected(lhs, nt[:, None] * nt)
+
+
+def _zero_or_expected(got, expect):
+    """(True, None) if each entry is 0 or expected, else (False, index)."""
+    bad = np.flatnonzero((got != 0) & (got != expect))
+    if bad.size == 0:
         return True, None
+    return False, divmod(int(bad[0]), got.shape[1])
 
 
 def tensor_bijections(A, B, allowed):

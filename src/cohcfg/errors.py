@@ -28,6 +28,16 @@ class ResourceLimitError(RuntimeError):
     """A computation exceeded one of the documented size guards."""
 
 
+MEMORY_BUDGET = 1 << 30  # bytes; read at each call, so tests can patch it
+
+
+def require_memory(nbytes, what):
+    """Raise ResourceLimitError if ``what`` is estimated to hold more."""
+    if nbytes > MEMORY_BUDGET:
+        raise ResourceLimitError(f"{what}: estimated {nbytes >> 20} MiB > "
+                                 f"memory budget {MEMORY_BUDGET >> 20} MiB")
+
+
 class ColorActionError(RuntimeError):
     """A point map failed to induce a permutation of the colors.
 

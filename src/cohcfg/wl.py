@@ -58,9 +58,11 @@ import numpy as np
 
 from .cc import (CoherentConfiguration, cells_by_color, checked_colors,
                  color_classes, first_occurrence_relabel)
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError, require_memory
 
-TWO_EXTENSION_DEGREE_LIMIT = 30
+# estimated bytes per cell of a stabilization: whole-process peaks were 86
+# at 4-6M cells and about 105 for the search's doubled 496-point scheme
+_CELL_BYTES = 128
 
 # code space sizes up to which the narrower integer types hold every code
 _UINT16_CODES = 1 << 16
@@ -273,6 +275,12 @@ def _is_coherent(M):
     return next(_composition_mismatches(M, cells), None) is None
 
 
+def require_stabilize_memory(n):
+    """Raise ResourceLimitError if n^2 cells at `_CELL_BYTES` each exceed
+    the memory budget; callers that build the input first call it too."""
+    require_memory(n * n * _CELL_BYTES, f"stabilize on {n} points")
+
+
 def stabilize(colors, *, certify=True):
     """Raw stable matrix of the coherent closure of the given partition.
 
@@ -280,10 +288,12 @@ def stabilize(colors, *, certify=True):
     hash-stable matrix is returned.  Its partition refines the input, is
     no finer than the closure and equals it unless a hash collided; it
     depends on color ids only, so every bijection of the points that
-    preserves the input colors preserves each of its classes.
+    preserves the input colors preserves each of its classes.  First
+    the memory is checked (`require_stabilize_memory`).
     """
+    n = len(colors)
+    require_stabilize_memory(n)
     M, split = _normalize(colors)
-    n = M.shape[0]
     if n == 0:
         return M
     r = int(M.max()) + 1
@@ -326,21 +336,16 @@ def two_extension(cfg):
     The diagonal of the squared point set is split off as a fiber union;
     the intersection numbers of the result are the 3-dimensional
     intersection numbers of the input, which count the points g by
-    their colors to the three points of a triple.
+    their colors to the three points of a triple.  Its n^4 cells are
+    checked against the budget before the initial coloring is built.
     """
     n = cfg.degree
-    if n > TWO_EXTENSION_DEGREE_LIMIT:
-        raise ResourceLimitError(
-            f"two_extension guard: degree {n} > {TWO_EXTENSION_DEGREE_LIMIT}")
+    require_stabilize_memory(n * n)
     M = cfg.colors
-    r = cfg.rank
-    idx = np.arange(n * n)
-    p1, p2 = idx // n, idx % n
-    left = M[np.ix_(p1, p1)].astype(np.int64)
-    right = M[np.ix_(p2, p2)].astype(np.int64)
-    src_diag = (p1 == p2).astype(np.int64)[:, None]
-    dst_diag = (p1 == p2).astype(np.int64)[None, :]
-    init = (left * r + right) * 4 + src_diag * 2 + dst_diag
+    p1, p2 = np.divmod(np.arange(n * n), n)
+    diag = (p1 == p2).astype(np.int64)
+    init = (M[np.ix_(p1, p1)] * cfg.rank + M[np.ix_(p2, p2)]) * 4
+    init += diag[:, None] * 2 + diag
     return CoherentConfiguration(stabilize(init))
 
 
@@ -352,14 +357,22 @@ def coherence_violations(colors):
     composition kernel, which names a violated triple for each cell
     whose codes differ from the previous cell of its color; the first
     five distinct triples are returned.  The matrix must be square with
-    nonnegative ids (`CoherentConfiguration`'s conditions).
+    nonnegative ids (`CoherentConfiguration`'s conditions).  The kernel's
+    tables are sized by the largest id, so ids at or above the cell count
+    are first compacted in order; the triples name the caller's ids.
     """
     M = np.asarray(checked_colors(colors), dtype=np.int64)
+    ids = None
+    if M.size and M.max() >= M.size:
+        ids, _, compact = color_classes(M)
+        M = compact.reshape(M.shape)
     if _is_coherent(M):
         return []
     violations = []
     cells = cells_by_color(M)
     for triple in _composition_mismatches(M, cells):
+        if ids is not None:
+            triple = tuple(int(ids[c]) for c in triple)
         if triple not in violations:
             violations.append(triple)
             if len(violations) >= _MAX_REPORT:

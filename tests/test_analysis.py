@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cohcfg import analysis, claims, wl
+from cohcfg import analysis, claims, errors, wl
 from cohcfg.analysis import (automorphism_group, base_number, check_bound_201444a,
                              check_cor_423939b, find_inducing_bijection,
                              algebraic_automorphisms, is_schurian,
@@ -191,13 +191,15 @@ def test_partly_regular_automorphisms_match_the_reference_loop(passman_schemes):
             assert got == reference_partly_regular_automorphisms(cfg, alpha)
 
 
-def test_aut_generic_guard():
+def test_aut_generic_guard(monkeypatch, passman_schemes):
     big = trivial_scheme(200)
     # trivial scheme takes the symmetric-group path even at this degree
     assert automorphism_group(big).order > 0
-    from cohcfg.claims import passman
-    cfg, _, _ = passman(13)   # degree 169, not partly regular
-    with pytest.raises(ResourceLimitError):
+    cfg, group, _ = passman_schemes[13]   # degree 169, not partly regular
+    assert automorphism_group(cfg).order == group.order() == 8112
+    # a budget just below the doubled structure on 338 points
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 338 ** 2 * wl._CELL_BYTES - 1)
+    with pytest.raises(ResourceLimitError, match="stabilize on 338 points"):
         automorphism_group(cfg)
 
 
@@ -335,11 +337,17 @@ def test_separable_hollmann8(hollmann8):
 
 
 def test_separability_guard(passman_schemes):
-    cfg, _, _ = passman_schemes[5]   # rank 4 fine, degree 25 fine
+    cfg, _, _ = passman_schemes[5]   # rank 4
     assert is_separable_small(cfg).passed
-    big, _, _ = passman_schemes[9]   # degree 81 exceeds the search guard
-    with pytest.raises(ResourceLimitError):
-        is_separable_small(big)
+    big, _, _ = passman_schemes[9]   # degree 81, rank 6: one of 120 fails
+    rep = is_separable_small(big)
+    assert not rep.passed
+    assert rep.witnesses["aaut_order"] == 120
+    assert rep.failures == [("induced", (0, 1, 2, 4, 3, 5))]
+    _, _, frob = passman_schemes[9]   # rank 11 exceeds the rank guard
+    assert frob.rank == 11 and not frob.is_partly_regular()[0]
+    with pytest.raises(ResourceLimitError, match="rank 11 > 10"):
+        is_separable_small(frob)
 
 
 def test_find_inducing_bijection_identity(hollmann8):
@@ -400,8 +408,11 @@ def test_base_number_pinned_values(hollmann8, passman_schemes):
     assert base_number(hollmann8[0], "greedy") >= 3
 
 
-def test_base_number_guard(hollmann32):
-    with pytest.raises(ResourceLimitError):
+def test_base_number_guard(monkeypatch, hollmann32):
+    # the search's doubled structure on 992 points exceeds this budget;
+    # its refusal propagates instead of a search without the group
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 2 * 496 ** 2 * wl._CELL_BYTES)
+    with pytest.raises(ResourceLimitError, match="stabilize on 992 points"):
         base_number(hollmann32[0], "exact")
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cohcfg.cc import (CoherentConfiguration, algebraic_fusion,
-                       canonicalize_colors, cells_by_color, color_classes,
-                       first_occurrence_relabel, induced_color_action,
-                       same_partition, tensor_bijections)
+from cohcfg.cc import (CoherentConfiguration, IntersectionTensor,
+                       algebraic_fusion, canonicalize_colors, cells_by_color,
+                       color_classes, first_occurrence_relabel,
+                       induced_color_action, same_partition, tensor_bijections)
 from cohcfg.errors import (ColorActionError, IntegrityError,
                            ResourceLimitError, UsageError)
 from cohcfg.perm import PermGroup
@@ -434,9 +434,54 @@ def test_vectorized_row_counts_match_row_loops():
 
 
 def test_tensor_rank_guard():
-    big = PermGroup(17, []).orbitals()   # rank 289 exceeds the dense guard
-    with pytest.raises(ResourceLimitError):
+    assert PermGroup(17, []).orbitals().tensor().values.shape == (289,) * 3
+    big = PermGroup(26, []).orbitals()   # rank 676: 676^3 int32 is 1.2 GB
+    with pytest.raises(ResourceLimitError, match="tensor of rank 676"):
         big.tensor()
+
+
+def loop_row_sums_ok(tensor):
+    """Reference: the r x r double loop over the row sums."""
+    sums = tensor.values.astype(np.int64).sum(axis=2)
+    rank = sums.shape[0]
+    for t in range(rank):
+        for r in range(rank):
+            if sums[t, r] not in (0, int(tensor.valencies[r])):
+                return False, (t, r)
+    return True, None
+
+
+def loop_product_identity_ok(tensor):
+    """Reference: the r x r double loop over sum_t c_{rs}^t n_t."""
+    nt = tensor.valencies.astype(np.int64)
+    lhs = np.tensordot(nt, tensor.values.astype(np.int64), axes=(0, 0))
+    rank = lhs.shape[0]
+    for r in range(rank):
+        for s in range(rank):
+            if lhs[r, s] not in (0, int(nt[r]) * int(nt[s])):
+                return False, (r, s)
+    return True, None
+
+
+def test_tensor_checks_match_the_loops(hollmann8, passman_schemes):
+    rng = np.random.default_rng(11)
+    for cfg in (hollmann8[0], passman_schemes[5][0], passman_schemes[7][2],
+                thin_scheme(6), trivial_scheme(4)):
+        good = cfg.tensor()
+        tensors = [good]
+        for _ in range(6):
+            # corrupt one or two intersection numbers
+            values = good.values.copy()
+            for _ in range(int(rng.integers(1, 3))):
+                t, r, s = rng.integers(0, cfg.rank, size=3)
+                values[t, r, s] += int(rng.integers(1, 3))
+            tensors.append(IntersectionTensor(values, good.valencies))
+        for tensor in tensors:
+            assert tensor.row_sums_ok() == loop_row_sums_ok(tensor)
+            assert tensor.product_identity_ok() == loop_product_identity_ok(tensor)
+        assert good.row_sums_ok() == (True, None)
+        assert any(not t.row_sums_ok()[0] for t in tensors[1:])
+        assert any(not t.product_identity_ok()[0] for t in tensors[1:])
 
 
 def id_corpus():

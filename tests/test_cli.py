@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cohcfg import errors, wl
 from cohcfg.cli import main
 from cohcfg.errors import FormatError
 from cohcfg.iofmt import dumps, loads, read_file, write_file
@@ -219,16 +220,33 @@ def test_basenum_subcommand(tmp_path, capsys, hollmann8):
     assert text.strip() == "3"
 
 
-def test_basenum_guard_still_prints_greedy(tmp_path, capsys):
+def test_basenum_guard_still_prints_greedy(tmp_path, capsys, monkeypatch):
     from cohcfg.schemes import passman_scheme
 
-    cfg, _, _ = passman_scheme(17)   # degree 289 exceeds the exact guard
+    cfg, _, _ = passman_scheme(17)
     path = tmp_path / "p17.cohcfg"
     write_file(cfg, path)
+    # the greedy extensions on 289 points fit this budget; the exact
+    # mode's doubled search on 578 points does not
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 2 * 289 ** 2 * wl._CELL_BYTES)
     code, text, err = run(capsys, "basenum", str(path), "--mode", "exact")
     assert code == 3
     assert text.strip().isdigit()
+    assert "resource guard" in err and "578 points" in err
+
+
+def test_extend_guard_writes_no_file(tmp_path, capsys, monkeypatch, hollmann8):
+    cfg, _ = hollmann8
+    path = tmp_path / "h8.cohcfg"
+    out = tmp_path / "h8a.cohcfg"
+    write_file(cfg, path)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 28 ** 2 * wl._CELL_BYTES - 1)
+    code, text, err = run(capsys, "extend", str(path), "--points", "0",
+                          "-o", str(out))
+    assert code == 3
+    assert text == ""
     assert "resource guard" in err
+    assert not out.exists()
 
 
 def test_analyze_predicate_failure_exits_nonzero(tmp_path, capsys, hollmann8):

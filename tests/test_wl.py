@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,9 +176,40 @@ def test_two_extension_thin_cyclic_four():
     assert te.restriction(off).is_semiregular()
 
 
+def traced_peak(fn, *args):
+    """(result, peak bytes that tracemalloc saw while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_two_extension_guard():
-    with pytest.raises(ResourceLimitError):
-        two_extension(trivial_scheme(31))
+    # 3600 pair points, 13M cells: refused before the initial coloring
+    # of the pairs is built
+    triv = trivial_scheme(60)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="stabilize on 3600 points"):
+            two_extension(triv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_cell_bytes_bound_the_stabilize_peak(hollmann32):
+    # the per-cell constant of the memory estimate against a measurement:
+    # the one-point extension of the 496-point scheme holds about 58 bytes
+    # per cell at its peak
+    cfg, _ = hollmann32
+    M = cfg.colors.copy()
+    M[0, 0] = cfg.rank
+    _, peak = traced_peak(stabilize, M)
+    assert peak <= M.size * wl._CELL_BYTES
 
 
 def test_stabilize_is_deterministic(hollmann8):
@@ -544,6 +577,20 @@ def test_fiber_tagged_codes_do_not_overflow():
     assert np.array_equal(stabilize(M), M)
 
 
+def test_coherence_violations_of_sparse_ids():
+    # the kernel's tables are sized by the largest id: ids up to 2^40 are
+    # compacted first, and the triples come back in the caller's ids
+    X = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]])
+    bad = coherence_violations(X)
+    assert bad
+    for scale in (1 << 22, 1 << 40):
+        got, peak = traced_peak(coherence_violations, X * scale)
+        assert got == [tuple(c * scale for c in v) for v in bad]
+        assert peak < 1 << 20
+    got, peak = traced_peak(coherence_violations, cycle_partition(5) << 40)
+    assert got == [] and peak < 1 << 20
+
+
 def test_coherence_violations_refuses_bad_matrices():
     with pytest.raises(UsageError, match="square"):
         coherence_violations(np.zeros((2, 3), dtype=int))
@@ -557,7 +604,7 @@ def test_hash_products_are_exact():
     for n in (1, 2, 28, 240, 496, 900, 10 ** 6):
         p = wl._hash_modulus(n)
         assert p >= 2 and n * p * p < 2 ** 53
-    n = wl.TWO_EXTENSION_DEGREE_LIMIT ** 2
+    n = 900   # the pair points of a 30-point configuration
     p = wl._hash_modulus(n)
     W = np.full((n, n), float(p - 1))
     assert ((W @ W) == n * (p - 1) ** 2).all()
