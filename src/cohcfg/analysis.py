@@ -309,6 +309,14 @@ def is_schurian(cfg):
     return rep
 
 
+def _require_enumerable(cfg):
+    """The rank guard of `algebraic_automorphisms`, which bounds time."""
+    if cfg.rank > SEPARABILITY_RANK_LIMIT:
+        raise ResourceLimitError(
+            "algebraic automorphism enumeration guard: "
+            f"rank {cfg.rank} > {SEPARABILITY_RANK_LIMIT}")
+
+
 def algebraic_automorphisms(cfg):
     """All color bijections preserving the intersection tensor.
 
@@ -318,10 +326,7 @@ def algebraic_automorphisms(cfg):
     when s' = s*, so a tensor-preserving bijection that keeps reflexive
     colors reflexive also keeps transposes.  Guarded by rank, for time.
     """
-    if cfg.rank > SEPARABILITY_RANK_LIMIT:
-        raise ResourceLimitError(
-            "algebraic automorphism enumeration guard: "
-            f"rank {cfg.rank} > {SEPARABILITY_RANK_LIMIT}")
+    _require_enumerable(cfg)
     values = cfg.tensor().values
     refl = np.array([cfg.is_reflexive(s) for s in range(cfg.rank)])
     v = cfg.valencies()

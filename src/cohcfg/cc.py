@@ -47,11 +47,12 @@ def color_classes(flat):
     """
     flat = np.asarray(flat).ravel()
     order = cells_by_color(flat)
-    keys = flat[order]
-    change = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    values, first = keys[starts], order[starts]
+    change = np.ones(flat.size, dtype=bool)
+    for s in range(0, flat.size, 1 << 16):      # sorted ids in blocks, no copy
+        keys = flat[order[s:s + (1 << 16) + 1]]
+        np.not_equal(keys[1:], keys[:-1], out=change[s + 1:s + keys.size])
+    first = order[np.flatnonzero(change)]
+    values = flat[first]
     r = values.size
     if r == 0 or (values[0] == 0 and values[-1] == r - 1):
         inverse = flat
@@ -60,8 +61,9 @@ def color_classes(flat):
         table[values] = np.arange(r)
         inverse = table[flat]
     else:
+        ids = np.cumsum(change) - 1
         inverse = np.empty(flat.size, dtype=np.int64)
-        inverse[order] = np.cumsum(change) - 1
+        inverse[order] = ids
     return values, first, inverse
 
 
@@ -72,7 +74,7 @@ def first_occurrence_relabel(colors):
     their relabelings are equal arrays.
     """
     colors = np.asarray(colors)
-    _, first, inv = color_classes(colors)
+    first, inv = color_classes(colors)[1:]
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
     return rank[inv].reshape(colors.shape)
@@ -89,13 +91,12 @@ def canonicalize_colors(colors):
     """Canonical ids: reflexive classes first, then valency, then least cell."""
     colors = np.asarray(colors)
     n = colors.shape[0]
-    _, first, inv = color_classes(colors)
+    first, inv = color_classes(colors)[1:]
     M = inv.reshape(n, n)
     r = len(first)
-    first_rows = first // n
     reflexive = np.zeros(r, dtype=bool)
     reflexive[M[np.arange(n), np.arange(n)]] = True
-    valency = _first_row_counts(M, first_rows)
+    valency = _first_row_counts(M, first // n)
     # lexsort uses the last key as primary: (reflexive first, valency, first cell)
     order = np.lexsort((first, valency, (~reflexive).astype(np.int64)))
     rank = np.empty(r, dtype=np.int64)

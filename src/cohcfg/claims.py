@@ -14,9 +14,9 @@ import time
 
 import numpy as np
 
-from .analysis import (automorphism_group, check_bound_201444a,
-                       check_cor_423939b, is_schurian, is_separable_small,
-                       matching_graph)
+from .analysis import (_require_enumerable, automorphism_group,
+                       check_bound_201444a, check_cor_423939b, is_schurian,
+                       is_separable_small, matching_graph)
 from .cc import algebraic_fusion, induced_color_action
 from .errors import UsageError
 from .gf import Field
@@ -273,6 +273,7 @@ def _extension_schurian_separable(q):
     route; the two-dimensional consequence is recorded as an inference."""
     rep = VerificationReport(claim="030620i", params={"q": q})
     xa, _, _, Y = _first_fiber(q)
+    _require_enumerable(Y)      # the restriction route's guard, before any search
     rep.require("extension-schurian", is_schurian(xa).passed)
     sub = _restriction_scheme(q)
     rep.require("restriction-chain", sub.passed)

@@ -50,6 +50,12 @@ in an exact run whose first round splits nothing.  Where it splits a
 class and no hash round splits anything after it, the result is
 renumbered by first appearance once, at the end, as exact round 1 would
 have done.
+
+Memory.  A phase frees each temporary after its last read and holds,
+above its input, per-color arrays and at most three of 8 bytes per cell:
+the code, its order and the ids (`_normalize`); the key, B[M] and row
+blocks, then the key, its order and the sorted key, then the order, new
+ids and new matrix (`_hash_round`); listed cells, code tables (`_is_coherent`).
 """
 
 import math
@@ -60,8 +66,8 @@ from .cc import (CoherentConfiguration, cells_by_color, checked_colors,
                  color_classes, first_occurrence_relabel)
 from .errors import UsageError, require_memory
 
-# estimated bytes per cell of a stabilization: whole-process peaks were 86
-# at 4-6M cells and about 105 for the search's doubled 496-point scheme
+# estimated bytes per cell of a stabilization: 40-42 above the input for a
+# 496-point extension, about 86 for the automorphism search on its double
 _CELL_BYTES = 128
 
 # code space sizes up to which the narrower integer types hold every code
@@ -124,31 +130,37 @@ def _hash_round(M, r, rng):
     """
     n = M.shape[0]
     p = _hash_modulus(n)
-    key = np.zeros(n * n, dtype=np.uint64)
+    key = np.zeros((n, n), dtype=np.uint64)
+    rows = max(1, _BATCH_BYTES // (16 * n), n // 8)   # >= n/8 rows: fast BLAS
     for mix in _MIX:
+        BM = None                       # freed before the next weights are drawn
         A, B = rng.integers(1, p, size=(2, r)).astype(np.float64)
-        key += (A[M] @ B[M]).ravel().astype(np.uint64) * mix
+        BM = B[M]
+        for s in range(0, n, rows):     # row blocks: every partial sum is exact
+            key[s:s + rows] += (A[M[s:s + rows]] @ BM).astype(np.uint64) * mix
+        del A, B
     key <<= np.uint64(max(1, (r - 1).bit_length()))
-    flat = M.ravel()
-    key |= flat.astype(np.uint64)
+    key |= M.view(np.uint64)
     class_key = np.empty(r, dtype=np.uint64)
-    class_key[flat] = key                       # the key of one cell per class
-    if np.array_equal(key, class_key[flat]):
+    class_key[M] = key                          # the key of one cell per class
+    # the last B[M] is read: it takes each cell's class key
+    if np.array_equal(key, np.take(class_key, M, out=BM.view(np.uint64), mode="clip")):
         return M, r
-    del class_key       # freed before the sort, whose arrays set the peak
-    order = np.argsort(key)
-    change = np.empty(order.size, dtype=bool)
-    change[0] = True
-    sorted_key = key[order]
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    # new ids by first appearance in row-major order
-    first = np.minimum.reduceat(order, starts)
-    rank_of = np.empty(starts.size, dtype=np.int64)
-    rank_of[np.argsort(first)] = np.arange(starts.size)
+    del class_key, BM
+    order = np.argsort(key, axis=None)
+    key = key.ravel()[order]                    # the sorted key replaces it
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    del key
+    # new ids by first appearance in row-major order: rank the first cells
+    rank_of = np.minimum.reduceat(order, starts)
+    counts = np.diff(starts, append=order.size)
+    del starts
+    rank_of[np.argsort(rank_of)] = np.arange(rank_of.size)
+    ids, rank = np.repeat(rank_of, counts), rank_of.size
+    del rank_of, counts
     new = np.empty(order.size, dtype=np.int64)
-    new[order] = rank_of[np.cumsum(change) - 1]
-    return new.reshape(n, n), int(starts.size)
+    new[order] = ids
+    return new.reshape(n, n), rank
 
 
 def _code_tables(M):
@@ -183,17 +195,20 @@ def _code_tables(M):
     by_pair = np.argsort(pair, kind="stable")
     count = np.bincount(pair, minlength=f * f)
     start = np.cumsum(count) - count
-    index = np.empty(r, dtype=np.int64)
-    index[by_pair] = np.arange(r) - start[pair[by_pair]]
     count = count.reshape(f, f)
     K = count.max(axis=1)
     base = np.concatenate([[0], np.cumsum(count.max(axis=0) * K)])
+    del count
     size = int(base[-1])
     dtype = (np.uint16 if size <= _UINT16_CODES else
              np.int32 if size <= _INT32_CODES else np.int64)
-    mid = pair % f                          # fiber Z of g for c(a, g)
-    R = (base[mid] + index * K[mid]).astype(dtype)[M]
+    index = np.empty(r, dtype=np.int64)
+    index[by_pair] = np.arange(r)
+    index -= start[pair]
     C = np.ascontiguousarray(index.astype(dtype)[M.T])
+    index *= K[pair % f]                    # pair % f: fiber Z of g for c(a, g)
+    index += base[pair % f]
+    R = index.astype(dtype)[M]
 
     def decode(t, code):
         X, Y = divmod(int(pair[t]), f)
@@ -261,16 +276,18 @@ def _is_coherent(M):
     r = int(M.max()) + 1
     flat = M.ravel()
     tau = np.zeros(r, dtype=np.int64)
-    tau[flat] = M.T.ravel()
-    if not np.array_equal(tau[M], M.T):
+    tau[M] = M.T
+    tau_cell = tau[M]
+    if not np.array_equal(tau_cell, M.T):
         return False
-    upper = np.triu(np.ones((n, n), dtype=bool)).ravel()
-    kept = np.flatnonzero((flat < tau[flat]) | ((flat == tau[flat]) & upper))
+    cells = np.flatnonzero((M < tau_cell) | np.triu(M == tau_cell))
+    del tau_cell
     # one cell a <= b of each symmetric color, whose transpose is added
     cell = np.full(r, -1, dtype=np.int64)
-    cell[flat[kept]] = kept
+    cell[flat[cells]] = cells
     a, b = np.divmod(cell[(tau == np.arange(r)) & (cell >= 0)], n)
-    cells = np.concatenate([kept, b * n + a])
+    del tau, cell
+    cells = np.concatenate([cells, b * n + a])
     cells = cells[cells_by_color(flat[cells])]
     return next(_composition_mismatches(M, cells), None) is None
 
@@ -343,9 +360,10 @@ def two_extension(cfg):
     require_stabilize_memory(n * n)
     M = cfg.colors
     p1, p2 = np.divmod(np.arange(n * n), n)
-    diag = (p1 == p2).astype(np.int64)
-    init = (M[np.ix_(p1, p1)] * cfg.rank + M[np.ix_(p2, p2)]) * 4
-    init += diag[:, None] * 2 + diag
+    init = (M * (4 * cfg.rank))[np.ix_(p1, p1)]
+    init += (M * 4)[np.ix_(p2, p2)]
+    init[::n + 1] += 2                  # the rows and columns of the pairs (a, a)
+    init[:, ::n + 1] += 1
     return CoherentConfiguration(stabilize(init))
 
 

@@ -451,6 +451,17 @@ def test_claim_170520w1_checks_q_before_building(monkeypatch):
         verify_claim("170520w1", q=64)
 
 
+def test_claim_030620i_checks_the_restriction_rank_first(monkeypatch):
+    # the rank-17 restriction at q=32 trips the enumeration guard, which
+    # is checked before the schurity search on the 496-point extension
+    def no_work(*args):
+        raise AssertionError("the claim searched before checking the rank")
+
+    monkeypatch.setattr(claims, "is_schurian", no_work)
+    with pytest.raises(ResourceLimitError, match="rank 17 > 10"):
+        verify_claim("030620i", q=32)
+
+
 def test_claim_fusion_bound():
     assert verify_claim("411958b", family="passman", trials=200).passed
 

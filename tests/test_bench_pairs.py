@@ -24,7 +24,11 @@ def test_summary_quartiles_medians_and_wins():
     assert wall["change_q1_median_q3"] == [0.8, 0.9, 1.1]
     # the tie at 1.1 counts for neither side
     assert wall["change_lower_in"] == "3/5"
+    assert wall["change_higher_in"] == "1/5"
+    assert wall["median_delta"] == pytest.approx(-0.3)
+    assert wall["parent_iqr"] == pytest.approx(0.2)
     assert summary["peak_rss_mb"]["change_lower_in"] == "5/5"
+    assert summary["peak_rss_mb"]["change_higher_in"] == "0/5"
 
 
 def test_summary_interpolates_quartiles():
@@ -34,6 +38,28 @@ def test_summary_interpolates_quartiles():
     assert wall["change_lower_in"] == "0/4"
     single = bench_pairs.summarize([pair({"wall_s": 2.0}, {"wall_s": 1.0})])
     assert single["wall_s"]["change_q1_median_q3"] == [1.0, 1.0, 1.0]
+
+
+def claim_pairs(deltas, parent_spread=0.0):
+    """Ten pairs with parents 50 + i * parent_spread and changes that
+    differ from them by the given deltas."""
+    return [pair({"peak_rss_mb": 50 + i * parent_spread},
+                 {"peak_rss_mb": 50 + i * parent_spread + d})
+            for i, d in enumerate(deltas)]
+
+
+@pytest.mark.parametrize("deltas, parent_spread, met", [
+    # lower in 10/10 by 5 MB, parents spread 0.1 MB apart: met
+    ([-5.0] * 10, 0.1, True),
+    # lower in 9/10, one pair a tie: met; 8/10 with one pair higher: lost
+    ([-5.0] * 9 + [0.0], 0.1, True),
+    ([-5.0] * 8 + [0.0, 1.0], 0.1, False),
+    # lower in 10/10, but by 0.2 MB against a parent IQR of 0.45 MB: lost
+    ([-0.2] * 10, 0.1, False),
+])
+def test_claim_rule(deltas, parent_spread, met):
+    summary = bench_pairs.summarize(claim_pairs(deltas, parent_spread))
+    assert bench_pairs.claim_met(summary["peak_rss_mb"]) is met
 
 
 @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cohcfg import analysis, wl
+from cohcfg import analysis, cc, passman_scheme, wl
 from cohcfg.cc import CoherentConfiguration
 from cohcfg.errors import IntegrityError, ResourceLimitError, UsageError
 from cohcfg.perm import PermGroup
@@ -203,13 +203,67 @@ def test_two_extension_guard():
 
 def test_cell_bytes_bound_the_stabilize_peak(hollmann32):
     # the per-cell constant of the memory estimate against a measurement:
-    # the one-point extension of the 496-point scheme holds about 58 bytes
-    # per cell at its peak
+    # the one-point extension of the 496-point scheme holds about 32 bytes
+    # per cell at its peak, its normalized matrix and a hash round's 24
     cfg, _ = hollmann32
     M = cfg.colors.copy()
     M[0, 0] = cfg.rank
     _, peak = traced_peak(stabilize, M)
     assert peak <= M.size * wl._CELL_BYTES
+
+
+@pytest.fixture(scope="module")
+def extend496(hollmann32, small32):
+    """The extensions of the extend-496 benchmark: a one-point extension
+    of the 496-point large scheme (rank 3856) and a two-point extension of
+    the 496-point small scheme (rank 123136, half the cell count)."""
+    large, small = hollmann32[0], small32[0]
+    t = next(s for s in range(small.rank) if not small.is_reflexive(s))
+    return [(large, [0]), (small, list(small.first_pair(t)))]
+
+
+def test_extend_points_holds_at_most_45_bytes_per_cell(extend496):
+    # the input copy, the normalized matrix and the largest phase
+    for cfg, points in extend496:
+        ext, peak = traced_peak(extend_points, cfg, points)
+        assert peak <= 45 * ext.colors.size
+
+
+CELL_PHASES = [(wl, "_normalize"), (wl, "_hash_round"), (wl, "_is_coherent"),
+               (wl, "first_occurrence_relabel"), (cc, "canonicalize_colors")]
+
+
+def test_each_phase_holds_at_most_32_bytes_per_cell(monkeypatch, extend496):
+    held = []
+
+    def measured(fn):
+        def run(colors, *args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn(colors, *args)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            held.append((fn.__name__, peak / np.asarray(colors).size))
+            return result
+        return run
+
+    for module, name in CELL_PHASES:
+        monkeypatch.setattr(module, name, measured(getattr(module, name)))
+    tracemalloc.start()
+    try:
+        for cfg, points in extend496:
+            # neither extension needs the final relabeling, so it runs on
+            # the result
+            wl.first_occurrence_relabel(extend_points(cfg, points).colors)
+    finally:
+        tracemalloc.stop()
+    assert {name for name, _ in held} == {name for _, name in CELL_PHASES}
+    assert max(b for _, b in held) <= 32, held
+
+
+def test_two_extension_holds_at_most_50_bytes_per_pair_cell():
+    ext, peak = traced_peak(two_extension, passman_scheme(5)[0])
+    assert ext.degree == 625
+    assert peak <= 50 * ext.colors.size
 
 
 def test_stabilize_is_deterministic(hollmann8):

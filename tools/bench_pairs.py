@@ -8,9 +8,13 @@ For each seed it runs ``perfbench/run.py`` once in the parent checkout
 and once in the change checkout, alternating which side goes first
 (the parent at the first seed).  It reads the last JSON line each run
 prints, and appends one entry to ``BENCH_<workload>.json`` in the change
-checkout: per metric the quartiles and median of both sides and the
-number of pairs in which the change is lower, and every pair with the
-side that ran first.  A run that exits non-zero, or whose result says that
+checkout: per metric the quartiles and median of both sides, the number
+of pairs in which the change is lower and in which it is higher, the
+difference of the medians and the parent's interquartile range, and every
+pair with the side that ran first.  With ``--claimed`` the entry records
+``claim_met``: whether the claimed metric reads lower in at least 9/10 of
+the pairs with a median lower by more than the parent's interquartile
+range.  A run that exits non-zero, or whose result says that
 its checks failed, stops the script before anything is written.
 """
 
@@ -39,18 +43,34 @@ def quartiles(values):
 
 
 def summarize(pairs):
-    """Per metric: both sides' quartiles and in how many pairs the change
-    reads lower (ties count for neither side)."""
+    """Per metric: both sides' quartiles, in how many pairs the change
+    reads lower and in how many higher (ties count for neither side), the
+    change's median minus the parent's, and the parent's interquartile
+    range."""
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         lower = sum(c < p for p, c in zip(parent, change))
+        higher = sum(c > p for p, c in zip(parent, change))
+        pq, cq = quartiles(parent), quartiles(change)
         summary[name] = {
-            "parent_q1_median_q3": [round(x, 4) for x in quartiles(parent)],
-            "change_q1_median_q3": [round(x, 4) for x in quartiles(change)],
-            "change_lower_in": f"{lower}/{len(pairs)}"}
+            "parent_q1_median_q3": [round(x, 4) for x in pq],
+            "change_q1_median_q3": [round(x, 4) for x in cq],
+            "change_lower_in": f"{lower}/{len(pairs)}",
+            "change_higher_in": f"{higher}/{len(pairs)}",
+            "median_delta": round(cq[1] - pq[1], 4),
+            "parent_iqr": round(pq[2] - pq[0], 4)}
     return summary
+
+
+def claim_met(metric_summary):
+    """The rule a claimed gain must meet: the change reads lower in at
+    least nine tenths of the pairs, and its median lies below the parent's
+    by more than the parent's interquartile range."""
+    lower, pairs = map(int, metric_summary["change_lower_in"].split("/"))
+    return (10 * lower >= 9 * pairs
+            and -metric_summary["median_delta"] > metric_summary["parent_iqr"])
 
 
 def run_side(checkout, workload, seed, seconds):
@@ -115,15 +135,18 @@ def main(argv=None):
     else:
         bench = {"workload": args.workload,
                  "about": ABOUT.format(workload=args.workload), "entries": []}
+    summary = summarize(pairs)
     bench["entries"].append({
         "change": args.title, "parent_commit": short_rev(args.parent),
         "source": "perfbench/out", "claimed": args.claimed,
+        "claim_met": claim_met(summary[args.claimed]) if args.claimed else None,
         "seeds": args.seeds, "seconds": args.seconds,
-        "summary": summarize(pairs), "pairs": pairs})
+        "summary": summary, "pairs": pairs})
     with open(path, "w") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
-    print(json.dumps(bench["entries"][-1]["summary"]))
+    print(json.dumps({"claim_met": bench["entries"][-1]["claim_met"],
+                      "summary": summary}))
     return 0
 
 
