@@ -328,7 +328,7 @@ def algebraic_automorphisms(cfg):
     """
     _require_enumerable(cfg)
     values = cfg.tensor().values
-    refl = np.array([cfg.is_reflexive(s) for s in range(cfg.rank)])
+    refl = cfg.first_rows == cfg.first_cols
     v = cfg.valencies()
     allowed = (refl[:, None] == refl) & (v[:, None] == v)
     return list(tensor_bijections(values, values, allowed))

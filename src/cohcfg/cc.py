@@ -2,8 +2,12 @@
 
 A configuration on n points is an n x n integer matrix assigning each
 ordered pair a color (basis relation id).  Canonical ids sort classes by
-(reflexive first, valency ascending, least cell in row-major order), so
-any two constructions of the same partition serialize identically.
+(reflexive first, valency ascending, least cell in row-major order).  The
+key depends on the partition only, so two constructions of the same
+partition give equal arrays and serialize identically; the f classes
+that meet the diagonal get ids 0..f-1.  The canonicalization hands its
+by-products to `CoherentConfiguration`: the least cell and valency of
+every class, from which it reads transposes and fibers.
 
 Every grouping of the n**2 cells by color goes through `cells_by_color`,
 a stable sort of the ids in linear time (radix passes of 16 bits), and
@@ -88,7 +92,12 @@ def same_partition(a, b):
 
 
 def canonicalize_colors(colors):
-    """Canonical ids: reflexive classes first, then valency, then least cell."""
+    """Canonical ids: reflexive classes first, then valency, then least cell.
+
+    Returns (ids, first, valency): the canonical matrix and, indexed by
+    canonical id, the flat index of each class's least cell and the
+    count of the class in that cell's row.
+    """
     colors = np.asarray(colors)
     n = colors.shape[0]
     first, inv = color_classes(colors)[1:]
@@ -99,9 +108,11 @@ def canonicalize_colors(colors):
     valency = _first_row_counts(M, first // n)
     # lexsort uses the last key as primary: (reflexive first, valency, first cell)
     order = np.lexsort((first, valency, (~reflexive).astype(np.int64)))
+    first, valency = first[order], valency[order]
     rank = np.empty(r, dtype=np.int64)
     rank[order] = np.arange(r)
-    return rank[M]
+    del order   # before the cell-sized gather
+    return rank[M], first, valency
 
 
 def _first_row_counts(M, first_rows):
@@ -113,55 +124,56 @@ def _first_row_counts(M, first_rows):
 
 def checked_colors(colors):
     """The color matrix as an array; UsageError unless it is square with
-    nonnegative ids."""
+    nonnegative integer ids."""
     colors = np.asarray(colors)
     if colors.ndim != 2 or colors.shape[0] != colors.shape[1]:
         raise UsageError("color matrix must be square")
+    if not np.issubdtype(colors.dtype, np.integer):
+        raise UsageError(f"color ids must be integers, not {colors.dtype}")
     if colors.size and colors.min() < 0:
         raise UsageError("color ids must be nonnegative")
     return colors
 
 
 class CoherentConfiguration:
-    """Color-matrix rainbow with cached fiber, valency and tensor data.
+    """Color-matrix rainbow with its class table: the least cell (row,
+    column), valency and transpose of every color, stored at
+    construction; the fibers of a color's ends are read from its least
+    cell.  The reflexive colors are 0..f-1.
 
-    Immutable after construction; all caches are derived and write-once.
-    Construction canonicalizes ids but does not prove coherence; use
-    ``validate`` for that.
+    Immutable after construction; the tensor and the fibers' point lists
+    are computed on first use.  Construction canonicalizes ids but does
+    not prove coherence; use ``validate`` for that.
     """
 
     def __init__(self, colors):
-        colors = checked_colors(colors)
-        colors = np.ascontiguousarray(canonicalize_colors(colors), dtype=np.int64)
-        colors.setflags(write=False)
+        colors, first, valency = canonicalize_colors(checked_colors(colors))
+        n = colors.shape[0]
         self.colors = colors
-        self.degree = colors.shape[0]
-        self.rank = int(colors.max()) + 1 if colors.size else 0
-        self._first = None
-        self._valencies = None
-        self._transpose = None
+        self.degree = n
+        self.rank = len(first)
+        # a two-point extension has about n^2 / 2 classes, so the table
+        # takes the narrowest type that holds every id: int32 below 2^31
+        index = np.int32 if n * n <= 1 << 31 else np.int64
+        self.first_rows, self.first_cols = np.divmod(first.astype(index), n)
+        del first
+        self._reflexive_count = int(colors.diagonal().max()) + 1 if n else 0
+        self._valency = valency.astype(index)
+        self._transposed = colors[self.first_cols, self.first_rows].astype(index)
+        for table in (colors, self.first_rows, self.first_cols, self._valency,
+                      self._transposed):
+            table.setflags(write=False)
         self._tensor = None
         self._fibers = None
-        self._fiber_colors = None
-
-    # cached derived data
-
-    def _first_cells(self):
-        if self._first is None:
-            _, first, _ = color_classes(self.colors)
-            self._first = (first // self.degree, first % self.degree)
-        return self._first
 
     def first_pair(self, s):
-        fr, fc = self._first_cells()
-        return int(fr[s]), int(fc[s])
+        return int(self.first_rows[s]), int(self.first_cols[s])
 
     def reflexive_colors(self):
-        return sorted(set(self.colors.diagonal().tolist()))
+        return list(range(self._reflexive_count))
 
     def is_reflexive(self, s):
-        fr, fc = self._first_cells()
-        return fr[s] == fc[s]
+        return self.first_rows[s] == self.first_cols[s]
 
     def fibers(self):
         if self._fibers is None:
@@ -172,26 +184,17 @@ class CoherentConfiguration:
 
     def valencies(self):
         """n_s for every color (out-degree within the source fiber)."""
-        if self._valencies is None:
-            fr, _ = self._first_cells()
-            self._valencies = _first_row_counts(self.colors, fr)
-        return self._valencies
+        return self._valency
 
     def transpose_map(self):
         """t with t[s] = s* (well defined only on valid rainbows)."""
-        if self._transpose is None:
-            fr, fc = self._first_cells()
-            self._transpose = self.colors[fc, fr]
-        return self._transpose
+        return self._transposed
 
     def fiber_colors(self):
         """(source, target): for every color, the reflexive color of the
         fiber its cells start in and of the fiber they end in."""
-        if self._fiber_colors is None:
-            fr, fc = self._first_cells()
-            diag = self.colors.diagonal()
-            self._fiber_colors = (diag[fr], diag[fc])
-        return self._fiber_colors
+        diag = self.colors.diagonal()
+        return diag[self.first_rows], diag[self.first_cols]
 
     # validation
 
@@ -200,11 +203,9 @@ class CoherentConfiguration:
         if level not in ("axioms", "full"):
             raise UsageError(f"unknown validation level {level!r}")
         rep = VerificationReport(claim="validate", params={"level": level})
-        n = self.colors.shape[0]
-        diag_set = set(self.colors.diagonal().tolist())
-        off = self.colors[~np.eye(n, dtype=bool)]
-        bad_off = np.isin(off, sorted(diag_set))
-        rep.require("diagonal-classes-pure", not bad_off.any())
+        # the n diagonal cells carry ids below f; no other cell may
+        rep.require("diagonal-classes-pure",
+                    np.count_nonzero(self.colors < self._reflexive_count) == self.degree)
         # transpose of every class is a class
         t = self.transpose_map()
         trans_ok = np.array_equal(t[self.colors], self.colors.T)
@@ -246,7 +247,7 @@ class CoherentConfiguration:
         from .wl import _composition_mismatches
         n, r = self.degree, self.rank
         M = self.colors
-        fr, fc = self._first_cells()
+        fr, fc = self.first_rows, self.first_cols
         values = np.zeros((r, r, r), dtype=np.int32)
         for t in range(r):
             codes = M[fr[t], :] * r + M[:, fc[t]]
@@ -279,7 +280,7 @@ class CoherentConfiguration:
         against the direct count.
         """
         M = self.colors
-        fr, fc = self._first_cells()
+        fr, fc = self.first_rows, self.first_cols
         per_color = {}
         for s in range(self.rank):
             a, b = int(fr[s]), int(fc[s])
@@ -301,7 +302,7 @@ class CoherentConfiguration:
     # predicates
 
     def is_homogeneous(self):
-        return len(self.reflexive_colors()) == 1
+        return self._reflexive_count == 1
 
     def is_symmetric(self):
         t = self.transpose_map()
@@ -346,7 +347,7 @@ class CoherentConfiguration:
 
     def restriction(self, points):
         """Induced configuration on a union of fibers."""
-        points = np.asarray(sorted(set(int(p) for p in points)))
+        points = np.asarray(sorted(set(int(p) for p in points)), dtype=np.int64)
         if points.size and (points.min() < 0 or points.max() >= self.degree):
             raise UsageError("restriction points out of range")
         chosen = set(points.tolist())
@@ -364,9 +365,9 @@ class CoherentConfiguration:
             raise UsageError("fiber index out of range")
         v = self.valencies()
         source, target = self.fiber_colors()
-        refl = self.reflexive_colors()
-        match = ((source == refl[fiber_i]) & (target == refl[fiber_j])
-                 & (v == 1) & (v[self.transpose_map()] == 1))
+        # the reflexive color of fiber i is i
+        match = ((source == fiber_i) & (target == fiber_j)
+                 & (v == 1) & (v[self._transposed] == 1))
         return np.flatnonzero(match).tolist()
 
     def m_t(self, t):
@@ -376,7 +377,10 @@ class CoherentConfiguration:
         return int(self.tensor().values[t].max())
 
     def same_partition(self, other):
-        return same_partition(self.colors, other.colors)
+        """Canonical ids depend on the partition only: equal partitions
+        are equal arrays.  Their memoryviews compare shapes and values
+        without a cell-sized temporary."""
+        return self.colors.data == other.colors.data
 
     def __repr__(self):
         return f"CoherentConfiguration(degree={self.degree}, rank={self.rank})"
@@ -477,8 +481,7 @@ def algebraic_fusion(cfg, phi_generators):
                 f"triple {tuple(int(x) for x in bad)}")
         gens.append(phi)
     fused = CoherentConfiguration(PermGroup(r, gens).orbit_minima()[cfg.colors])
-    fr, fc = cfg._first_cells()
-    fmap = FusionMap(tuple(fused.colors[fr, fc].tolist()), gens)
+    fmap = FusionMap(tuple(fused.colors[cfg.first_rows, cfg.first_cols].tolist()), gens)
     return fused, fmap
 
 
@@ -506,8 +509,7 @@ def induced_color_action(cfg, g):
         raise UsageError("not a permutation of the point set")
     M = cfg.colors
     P = M[np.ix_(g, g)]   # P[a, b] = color of (g a, g b)
-    fr, fc = cfg._first_cells()
-    phi = P[fr, fc]
+    phi = P[cfg.first_rows, cfg.first_cols]
     if not np.array_equal(phi[M], P):
         cell = np.argwhere(phi[M] != P)[0]
         raise ColorActionError(

@@ -2,9 +2,9 @@
 
 Each entry re-derives a documented statement about the built schemes and
 reports PASS or FAIL with computed witnesses; claim ids are the opaque
-registry keys used by the command line ``verify`` subcommand.  Heavy
-intermediate objects (schemes and their point extensions) are memoized
-for the duration of the process.
+registry keys used by the command line ``verify`` subcommand.  The
+one-point extension of the large scheme is memoized here for the
+duration of the process; `schemes` memoizes the schemes it keeps.
 """
 
 import functools
@@ -30,20 +30,10 @@ _REGISTRY = {}
 
 
 @functools.cache
-def small_scheme(q):
-    return hollmann_small(q)
-
-
-@functools.cache
-def passman(q):
-    return passman_scheme(q)
-
-
-@functools.cache
-def extension(family, q, points):
-    cfg = {"large": hollmann_large, "small": small_scheme,
-           "passman": passman}[family](q)[0]
-    return extend_points(cfg, points)
+def large_extension(q):
+    """The one-point extension of hollmann_large(q) at point 0, which
+    several claims share."""
+    return extend_points(hollmann_large(q)[0], [0])
 
 
 def claim(claim_id):
@@ -124,7 +114,7 @@ def _aut_orders(q):
         aut = automorphism_group(cfg)
         rep.require("aut-order", aut.order == q * (q * q - 1), aut.order)
         rep.witnesses["method"] = aut.method
-    xa = extension("large", q, (0,))
+    xa = large_extension(q)
     aut_a = automorphism_group(xa)
     rep.require("aut-extension-order", aut_a.order == 2 * (q + 1), aut_a.order)
     rep.witnesses["extension-method"] = aut_a.method
@@ -157,7 +147,7 @@ def _matchings(q):
     rep = VerificationReport(claim="170520w1", params={"q": q})
     label = trace_label_check(q)   # refuses an unsupported q before any work
     cfg, _ = hollmann_large(q)
-    xa = extension("large", q, (0,))
+    xa = large_extension(q)
     fibers = xa.fibers()
     nonsingleton = [i for i, f in enumerate(fibers) if len(f) > 1]
     missing = []
@@ -213,7 +203,7 @@ def _is_relation_of(ext_colors, rows, cols, block):
 def _first_fiber(q):
     """The one-point extension X_a of the large scheme, the index and the
     points of its first non-singleton fiber, and X_a restricted to it."""
-    xa = extension("large", q, (0,))
+    xa = large_extension(q)
     fibers = xa.fibers()
     i = next(i for i, f in enumerate(fibers) if len(f) > 1)
     return xa, i, fibers[i], xa.restriction(fibers[i].tolist())
@@ -295,7 +285,7 @@ def _small_scheme_claims(q):
     bound m_t <= 4 d^2 are checked."""
     d = q.bit_length() - 1
     rep = VerificationReport(claim="270520i", params={"q": q})
-    small, _ = small_scheme(q)  # constructor asserts route equality
+    small, _ = hollmann_small(q)  # constructor asserts route equality
     rep.witnesses["routes"] = "orbital=fusion"
     if d == 3:
         rep.require("trivial", small.is_trivial_scheme(), small.rank)
@@ -319,7 +309,7 @@ def _small_two_point_extensions(q=32):
     """Two-point extensions of the small scheme, one representative pair
     per color, are partly regular."""
     rep = VerificationReport(claim="280520a", params={"q": q})
-    _require_partly_regular_pairs(rep, "small", q, small_scheme(q)[0])
+    _require_partly_regular_pairs(rep, hollmann_small(q)[0])
     return rep
 
 
@@ -329,7 +319,7 @@ def _passman_claims(q):
     fusion of its one-parameter subscheme under the signed-permutation
     color action; the claimed small intersection bound is re-computed."""
     rep = VerificationReport(claim="300520a", params={"q": q})
-    cfg, G, Y = passman(q)
+    cfg, G, Y = passman_scheme(q)
     ok, k = cfg.is_pseudocyclic()
     rep.require("pseudocyclic", ok and k == 2 * (q - 1), k)
     rep.witnesses["fusion-identity"] = "holds"  # asserted in the constructor
@@ -351,22 +341,24 @@ def _passman_two_point_extensions(q):
     representative pair per color, are partly regular; the bound route's
     status is recorded from the computed intersection maxima."""
     rep = VerificationReport(claim="310520d", params={"q": q})
-    cfg, G, Y = passman(q)
+    cfg, G, Y = passman_scheme(q)
     t0 = int(cfg.colors[0, q + 1])
     bound = check_cor_423939b(cfg, t0)
     rep.witnesses["bound-route"] = bound.witnesses["hypothesis"]
     rep.witnesses["m_t"] = bound.witnesses["m_t"]
-    _require_partly_regular_pairs(rep, "passman", q, cfg)
+    _require_partly_regular_pairs(rep, cfg)
     return rep
 
 
-def _require_partly_regular_pairs(rep, family, q, cfg):
-    """Extend the family's scheme cfg at the first pair of each
-    irreflexive color and require the extension partly regular."""
+def _require_partly_regular_pairs(rep, cfg):
+    """Extend the scheme cfg at the first pair of each irreflexive color
+    and require the extension partly regular.  Each extension is used
+    once and not memoized: with up to n^2 / 2 classes, its class table
+    is about as large as its color matrix."""
     for t in range(cfg.rank):
         if not cfg.is_reflexive(t):
             a, b = cfg.first_pair(t)
-            ext = extension(family, q, (a, b))
+            ext = extend_points(cfg, (a, b))
             rep.require(f"color-{t}", ext.is_partly_regular()[0],
                         witness=(a, b, ext.rank))
 
@@ -432,7 +424,7 @@ def _fusion_bound(family="small", seed=0, trials=1000):
         gens = [induced_color_action(base, pts.frobenius_permutation())]
     elif family == "passman":
         q = 13
-        _, _, base = passman(q)
+        _, _, base = passman_scheme(q)
         plane = AffinePlanePoints(q)
         gens = [induced_color_action(base, g)
                 for g in plane.signed_swap_generators()]

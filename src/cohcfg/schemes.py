@@ -12,7 +12,10 @@ Every point map of the three families is one numpy gather over the
 addition, product and inverse tables of GF(q): the image of every point
 at once, then its index.  All point indexings are canonical in the
 field element codes, so the emitted color matrices are bit-exact
-across runs.
+across runs.  `hollmann_large` and `passman_scheme` build each q once
+per process and share the result.  `hollmann_small` reuses the large
+scheme and builds the rest on each call, so that its 496-point scheme
+is freed with its caller.
 """
 
 import functools
@@ -195,6 +198,7 @@ def _prime_power(q):
     return (p, e) if q == 1 else None
 
 
+@functools.cache
 def passman_scheme(q):
     """Orbital scheme of the monomial affine action on GF(q)^2.
 

@@ -98,7 +98,7 @@ def _normalize(colors):
     c = np.asarray(colors, dtype=np.int64)
     n = c.shape[0]
     if c.size and (c.min() < 0 or c.max() >= n * n):
-        c = np.unique(c, return_inverse=True)[1].reshape(n, n)
+        c = color_classes(c)[2].reshape(n, n)
     r = int(c.max()) + 1 if c.size else 1
     fiber = np.unique(np.diagonal(c), return_inverse=True)[1]
     k = int(fiber.max()) + 1 if n else 1

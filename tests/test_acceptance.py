@@ -27,7 +27,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cohcfg import claims
+from cohcfg import schemes
 from cohcfg.analysis import (automorphism_group, base_number,
                              check_bound_201444a, is_schurian,
                              is_separable_small)
@@ -114,7 +114,7 @@ def test_criterion_01_large_scheme_parameters():
     for q, (degree, rank, valency) in expected.items():
         rep = verify_claim("160520i", q=q)
         ok = ok and rep.passed
-        cfg, _ = claims.hollmann_large(q)
+        cfg, _ = schemes.hollmann_large(q)
         ok = ok and (cfg.degree, cfg.rank) == (degree, rank)
         irref = [s for s in range(cfg.rank) if not cfg.is_reflexive(s)]
         ok = ok and all(int(cfg.valencies()[s]) == valency for s in irref)
@@ -159,10 +159,10 @@ def test_criterion_05_extension_schurian_separable_chain():
 
 def test_criterion_06_small_schemes():
     rep8 = verify_claim("270520i", q=8)
-    cfg8, _ = claims.small_scheme(8)
+    cfg8, _ = schemes.hollmann_small(8)
     ok = rep8.passed and cfg8.is_trivial_scheme() and cfg8.degree == 28
     rep32 = verify_claim("270520i", q=32)
-    cfg32, _ = claims.small_scheme(32)
+    cfg32, _ = schemes.hollmann_small(32)
     ok = ok and rep32.passed
     ok = ok and cfg32.rank == 4 and cfg32.is_pseudocyclic() == (True, 165)
     assert record(6, "small schemes: trivial at d=3; valency 165 rank 4 at "
@@ -178,7 +178,7 @@ def test_criterion_07_small_scheme_two_point_extensions():
 def test_criterion_08_passman_suite():
     ok = True
     for q in PASSMAN_RANGE:
-        cfg, G, Y = claims.passman(q)
+        cfg, G, Y = schemes.passman_scheme(q)
         ok = ok and cfg.is_pseudocyclic() == (True, 2 * (q - 1))
         ok = ok and cfg.indistinguishing_numbers()[1] == 2 * q - 3
         # fusion identity: the full scheme is the fusion of the
@@ -216,7 +216,7 @@ def test_criterion_08_clauses_contradicted_by_computation():
     mismatches, refuted = [], []
     for q in PASSMAN_RANGE:
         want = _passman_oracle(q)
-        cfg, _, Y = claims.passman(q)
+        cfg, _, Y = schemes.passman_scheme(q)
         gens = [induced_color_action(Y, g)
                 for g in AffinePlanePoints(q).signed_swap_generators()]
         _, fmap = algebraic_fusion(Y, gens)
@@ -266,9 +266,9 @@ def test_criterion_08_clauses_contradicted_by_computation():
 def test_criterion_09_bound_property_suite():
     rep = verify_claim("201444a", seed=0, count=100)
     ok = rep.passed
-    built = [claims.hollmann_large(q)[0] for q in (8, 16, 32)]
-    built += [claims.small_scheme(q)[0] for q in (8, 32)]
-    built += [claims.passman(q)[0] for q in PASSMAN_RANGE]
+    built = [schemes.hollmann_large(q)[0] for q in (8, 16, 32)]
+    built += [schemes.hollmann_small(q)[0] for q in (8, 32)]
+    built += [schemes.passman_scheme(q)[0] for q in PASSMAN_RANGE]
     for cfg in built:
         ok = ok and check_bound_201444a(cfg).passed
         ext = extend_points(cfg, [0])
@@ -286,10 +286,10 @@ def test_criterion_09_bound_property_suite():
 
 def test_criterion_10_tensor_identity_suite():
     ok = True
-    homogeneous = [claims.hollmann_large(q)[0] for q in (8, 16, 32)]
-    homogeneous += [claims.small_scheme(q)[0] for q in (8, 32)]
+    homogeneous = [schemes.hollmann_large(q)[0] for q in (8, 16, 32)]
+    homogeneous += [schemes.hollmann_small(q)[0] for q in (8, 32)]
     for q in PASSMAN_RANGE:
-        cfg, _, Y = claims.passman(q)
+        cfg, _, Y = schemes.passman_scheme(q)
         homogeneous += [cfg, Y]
     for cfg in homogeneous:
         tensor = cfg.tensor()
@@ -309,8 +309,8 @@ def test_criterion_10_tensor_identity_suite():
 def test_criterion_11_base_numbers():
     # recorded constants, fixed after the first computation
     expected = {("hollmann", 8): 3, ("passman", 3): 3, ("passman", 5): 3}
-    ok = base_number(claims.hollmann_large(8)[0], "exact") == expected[("hollmann", 8)]
-    ok = ok and base_number(claims.passman(3)[0], "exact") == expected[("passman", 3)]
-    ok = ok and base_number(claims.passman(5)[0], "exact") == expected[("passman", 5)]
+    ok = base_number(schemes.hollmann_large(8)[0], "exact") == expected[("hollmann", 8)]
+    ok = ok and base_number(schemes.passman_scheme(3)[0], "exact") == expected[("passman", 3)]
+    ok = ok and base_number(schemes.passman_scheme(5)[0], "exact") == expected[("passman", 5)]
     assert record(11, "exact base numbers: large q=8 and affine q=3,5 all "
                       "equal the recorded constant 3", ok)

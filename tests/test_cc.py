@@ -218,6 +218,19 @@ def test_degree_one_configuration():
     assert cfg.is_semiregular()
 
 
+def test_empty_restriction_is_the_degree_zero_configuration(hollmann8):
+    empty = hollmann8[0].restriction([])
+    assert (empty.degree, empty.rank, empty.colors.shape) == (0, 0, (0, 0))
+    assert empty.reflexive_colors() == [] and not empty.is_homogeneous()
+    assert empty.validate("full").passed
+
+
+@pytest.mark.parametrize("dtype", [float, bool, object])
+def test_non_integer_colors_are_a_usage_error(dtype):
+    with pytest.raises(UsageError, match="integers"):
+        CoherentConfiguration(cycle_partition(4).astype(dtype))
+
+
 def test_restriction(hollmann8):
     from cohcfg.wl import extend_points
 
@@ -424,13 +437,28 @@ def test_vectorized_row_counts_match_row_loops():
     for _ in range(100):
         n = int(rng.integers(1, 9))
         colors = rng.integers(0, int(rng.integers(1, 2 * n + 2)), size=(n, n))
-        canonical = canonicalize_colors(colors)
+        canonical = canonicalize_colors(colors)[0]
         assert np.array_equal(canonical, loop_canonicalize(colors))
         cfg = CoherentConfiguration(canonical)
-        fr, _ = cfg._first_cells()
-        assert np.array_equal(cfg.valencies(), loop_valencies(cfg.colors, fr))
+        assert np.array_equal(cfg.valencies(),
+                              loop_valencies(cfg.colors, cfg.first_rows))
         assert cfg.regular_points() == [
             a for a in range(n) if len(set(colors[a].tolist())) == n]
+
+
+def test_same_partition_allocates_under_a_byte_per_cell(hollmann32, small32):
+    import tracemalloc
+
+    large, small = hollmann32[0], small32[0]
+    again = CoherentConfiguration(large.colors.max() - large.colors)
+    for a, b, equal in [(large, again, True), (large, small, False)]:
+        tracemalloc.start()
+        try:
+            assert a.same_partition(b) == equal
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < large.colors.size
 
 
 def test_tensor_rank_guard():
@@ -527,12 +555,12 @@ def test_color_grouping_matches_unique_copies():
             continue
         squares += 1
         colors = flat.reshape(n, n)
-        assert np.array_equal(canonicalize_colors(colors),
+        assert np.array_equal(canonicalize_colors(colors)[0],
                               loop_canonicalize(colors))
         assert np.array_equal(first_occurrence_relabel(colors),
                               unique_relabel(colors))
         cfg = CoherentConfiguration(colors)
         _, first = np.unique(cfg.colors, return_index=True)
-        fr, fc = cfg._first_cells()
-        assert np.array_equal(fr, first // n) and np.array_equal(fc, first % n)
+        assert np.array_equal(cfg.first_rows, first // n)
+        assert np.array_equal(cfg.first_cols, first % n)
     assert squares >= 12

@@ -1,11 +1,14 @@
 """Seeded property tests of `wl.stabilize` against the frozen exact
-reference in test_wl: raw ids, relabeling of the points, idempotence."""
+reference in test_wl: raw ids, relabeling of the points, idempotence;
+and of the canonical ids of `CoherentConfiguration`: partition equality
+and the reflexive classes."""
 
 import numpy as np
 import pytest
 
 from cohcfg import wl
-from cohcfg.cc import same_partition
+from cohcfg.cc import (CoherentConfiguration, first_occurrence_relabel,
+                       same_partition)
 from cohcfg.wl import stabilize
 
 from test_wl import reference_stabilize
@@ -63,6 +66,21 @@ def test_raw_ids_ignore_an_order_preserving_shift_of_the_ids(M, shift):
 
 
 @SETTINGS
+@hypothesis.given(matrices, st.integers(0, 2 ** 20))
+def test_normalize_compacts_ids_below_zero_and_past_the_cells(M, gap):
+    # an increasing map of the ids: the least goes below 0, the others to
+    # n^2 and above; compacting gives each id its rank among the values
+    n2 = M.size
+    spread = (M - M.min()) * (2 * n2 + gap) - n2
+    assert spread.min() < 0
+    assert spread.max() >= n2 or M.min() == M.max()
+    ranks = np.unique(M, return_inverse=True)[1].reshape(M.shape)
+    assert all(np.array_equal(got, want) for got, want in
+               zip(wl._normalize(spread), wl._normalize(ranks)))
+    assert np.array_equal(stabilize(spread), stabilize(M))
+
+
+@SETTINGS
 @hypothesis.given(matrices, st.randoms(use_true_random=False))
 def test_closure_commutes_with_relabeling_points(M, random):
     perm = np.array(random.sample(range(len(M)), len(M)))
@@ -94,3 +112,38 @@ def test_fiber_split_alone_is_renumbered_by_first_appearance(monkeypatch):
     assert split and all(rank == int(ids.max()) + 1 for _, rank in rounds)
     assert np.array_equal(out, reference_stabilize(M))
     assert not np.array_equal(out, ids)
+
+
+@st.composite
+def relabeled_pairs(draw):
+    """a matrix of n <= 6 points with up to 4 ids, diagonal and
+    off-diagonal ones mixed, and its image under a bijection of the ids
+    and a permutation of the points (the identity in about half the
+    draws)"""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    a = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    ids = np.array(draw(st.permutations(range(k)))) * draw(st.sampled_from([1, 9]))
+    perm = draw(st.one_of(st.just(list(range(n))), st.permutations(range(n))))
+    return a, ids[a][np.ix_(perm, perm)]
+
+
+@SETTINGS
+@hypothesis.given(relabeled_pairs())
+def test_equal_canonical_arrays_are_equal_partitions(pair):
+    a, b = pair
+    want = np.array_equal(first_occurrence_relabel(a), first_occurrence_relabel(b))
+    assert CoherentConfiguration(a).same_partition(CoherentConfiguration(b)) == want
+
+
+@SETTINGS
+@hypothesis.given(relabeled_pairs())
+def test_reflexive_colors_are_the_diagonal_ids(pair):
+    for M in pair:
+        cfg = CoherentConfiguration(M)
+        diagonal = cfg.colors.diagonal()
+        assert cfg.reflexive_colors() == sorted(set(diagonal.tolist()))
+        off = cfg.colors[~np.eye(len(M), dtype=bool)]
+        impure = ("diagonal-classes-pure", None) in cfg.validate().failures
+        assert impure == bool(np.isin(off, diagonal).any())
