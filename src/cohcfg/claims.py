@@ -32,8 +32,10 @@ _REGISTRY = {}
 @functools.cache
 def large_extension(q):
     """The one-point extension of hollmann_large(q) at point 0, which
-    several claims share."""
-    return extend_points(hollmann_large(q)[0], [0])
+    several claims share; the point stabilizer G_0 takes it through the
+    group route of `stabilize`."""
+    cfg, G = hollmann_large(q)
+    return extend_points(cfg, [0], group=G.point_stabilizer(0))
 
 
 def claim(claim_id):
@@ -309,7 +311,7 @@ def _small_two_point_extensions(q=32):
     """Two-point extensions of the small scheme, one representative pair
     per color, are partly regular."""
     rep = VerificationReport(claim="280520a", params={"q": q})
-    _require_partly_regular_pairs(rep, hollmann_small(q)[0])
+    _require_partly_regular_pairs(rep, *hollmann_small(q))
     return rep
 
 
@@ -346,19 +348,25 @@ def _passman_two_point_extensions(q):
     bound = check_cor_423939b(cfg, t0)
     rep.witnesses["bound-route"] = bound.witnesses["hypothesis"]
     rep.witnesses["m_t"] = bound.witnesses["m_t"]
-    _require_partly_regular_pairs(rep, cfg)
+    _require_partly_regular_pairs(rep, cfg, G)
     return rep
 
 
-def _require_partly_regular_pairs(rep, cfg):
-    """Extend the scheme cfg at the first pair of each irreflexive color
-    and require the extension partly regular.  Each extension is used
-    once and not memoized: with up to n^2 / 2 classes, its class table
-    is about as large as its color matrix."""
+def _require_partly_regular_pairs(rep, cfg, G):
+    """Extend the scheme cfg of the group G at the first pair (a, b) of
+    each irreflexive color and require the extension partly regular.
+    G_{a,b} takes each extension through the group route; it is read off
+    G_a, which is built once per a.  Each extension is used once and not
+    memoized: with up to n^2 / 2 classes, its class table is about as
+    large as its color matrix."""
+    point_stabilizers = {}
     for t in range(cfg.rank):
         if not cfg.is_reflexive(t):
             a, b = cfg.first_pair(t)
-            ext = extend_points(cfg, (a, b))
+            if a not in point_stabilizers:
+                point_stabilizers[a] = G.point_stabilizer(a)
+            pair_stabilizer = point_stabilizers[a].stabilizer_prefix((b,))
+            ext = extend_points(cfg, (a, b), group=pair_stabilizer)
             rep.require(f"color-{t}", ext.is_partly_regular()[0],
                         witness=(a, b, ext.rank))
 

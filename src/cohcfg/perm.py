@@ -289,6 +289,48 @@ class PermGroup:
         """Least point of each point's orbit, as an int32 array."""
         return _orbit_minima(self.degree, self.generators, 1)
 
+    def orbit_layers(self):
+        """The least point of each orbit, ascending, and a breadth-first
+        spanning forest of the orbits grown from those points, as layers
+        ``(points, parents, k)``: generator k maps each parent to its
+        point, and every parent lies in an earlier layer or among the
+        least points.  A Schreier vector kept by layers, O(n) entries in
+        all (Seress, "Permutation Group Algorithms", Cambridge 2003,
+        ch. 4)."""
+        n = self.degree
+        reached = self.orbit_minima() == np.arange(n)
+        reps = np.flatnonzero(reached)
+        gens = np.array(self.generators, dtype=np.intp).reshape(-1, n)
+        layers, frontier = [], reps
+        while frontier.size:
+            grown = []
+            for k, g in enumerate(gens):
+                image = g[frontier]
+                fresh = ~reached[image]
+                if fresh.any():
+                    reached[image[fresh]] = True
+                    layers.append((image[fresh], frontier[fresh], k))
+                    grown.append(image[fresh])
+            frontier = np.concatenate(grown) if grown else reps[:0]
+        return reps, layers
+
+    def orbital_count(self):
+        """Number of orbits on ordered pairs, the rank of `orbitals()`,
+        counted without an n^2 array.  A group of at most n elements
+        counts by Burnside's lemma, as the mean of fix(g)^2 over its
+        elements; a larger one sums, over the least point r of each orbit,
+        the number of orbits of G_r on points, G_r read off a chain with
+        base prefix (r,)."""
+        n = self.degree
+        order = self.order()
+        if order <= n:
+            fixed = sum(int(np.square(np.count_nonzero(block == self._ident, axis=1)).sum())
+                        for block in self._element_blocks())
+            return fixed // order
+        least = self.orbit_minima()
+        return sum(int(np.count_nonzero(self.point_stabilizer(r).orbit_minima() == np.arange(n)))
+                   for r in np.flatnonzero(least == np.arange(n)).tolist())
+
     def orbit(self, point):
         """Sorted orbit of one point."""
         if not 0 <= point < self.degree:
@@ -302,6 +344,11 @@ class PermGroup:
         An element is a product of one representative per level, the
         deeper levels applied first; the top level varies fastest.
         """
+        return (g for block in self._element_blocks() for g in map(tuple, block.tolist()))
+
+    def _element_blocks(self):
+        """The elements in the order of `elements`, as blocks of rows, one
+        block per product of the deeper levels' representatives."""
         self._ensure_chain()
         reps = [T[lookup[(lookup >= 0).nonzero()[0]]]
                 for lookup, T, _ in self._transversals]
@@ -309,7 +356,7 @@ class PermGroup:
         for T in reversed(reps[1:]):
             rows = T[:, rows].transpose(1, 0, 2).reshape(-1, self.degree)
         top = reps[0] if reps else rows
-        return (g for h in rows for g in map(tuple, top[:, h].tolist()))
+        return (top[:, h] for h in rows)
 
     def orbitals(self):
         """Partition of point pairs into orbits, as a CoherentConfiguration.

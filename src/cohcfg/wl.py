@@ -51,23 +51,58 @@ class and no hash round splits anything after it, the result is
 renumbered by first appearance once, at the end, as exact round 1 would
 have done.
 
+The group route (``stabilize(..., group=generators)``).  Let H be a
+group whose elements preserve the input colors.  The hashes read color
+ids only, so every key is H-invariant and every hash class a union of
+H-orbits on cells.  The hash partition is no finer than the closure
+(above), and the closure is no finer than the H-orbitals, which are
+coherent and refine the input: the closure's rank lies between the
+hash rank and the number of H-orbits on cells, and where these two are
+equal the three partitions are equal (the schurity view of Evdokimov
+and Ponomarenko, "Separability number and schurity number of coherent
+configurations", Electron. J. Combin. 7 (2000), R31).  So the loop
+stops as soon as the rank reaches the orbit count, with neither a
+confirming round nor the certificate.
+- Rows.  The rows containing a class form a union of H-orbits on
+  points, so every class meets the rows R of the least point of each
+  orbit, first of all in row-major order.  A round hashes only those
+  rows, A[M[R]] @ B[M], sorts |R| n keys and numbers the classes by
+  first appearance in R, which is first appearance in the matrix.  Row
+  x = h(y) is row y read through h^-1; breadth-first layers of the
+  generators from R (a Schreier vector, Seress, "Permutation Group
+  Algorithms", Cambridge 2003, ch. 4; O(n) entries) rebuild the matrix.
+- Count.  `PermGroup.orbital_count` counts the H-orbits on cells without
+  an n^2 array.
+- Fallback.  A round that splits nothing below the count goes to the
+  exact certificate, and a rejection redraws the weights, as without a
+  group: the count then exceeds the closure's rank (H is smaller than
+  the automorphism group of the closure).
+- Raw ids.  Each round's keys, and so each round's matrix, equal those
+  of the same round without the group, and the result is the closure in
+  both: the ids are by first appearance if any class split, otherwise
+  `_normalize`'s.
+
 Memory.  A phase frees each temporary after its last read and holds,
 above its input, per-color arrays and at most three of 8 bytes per cell:
 the code, its order and the ids (`_normalize`); the key, B[M] and row
 blocks, then the key, its order and the sorted key, then the order, new
 ids and new matrix (`_hash_round`); listed cells, code tables (`_is_coherent`).
+`stabilize` drops its input once `_normalize` has read it; `extend_points`
+makes its recolored copy in the call, so that reference is the last.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from .cc import (CoherentConfiguration, cells_by_color, checked_colors,
                  color_classes, first_occurrence_relabel)
 from .errors import UsageError, require_memory
+from .perm import PermGroup
 
-# estimated bytes per cell of a stabilization: 40-42 above the input for a
-# 496-point extension, about 86 for the automorphism search on its double
+# estimated bytes per cell of a stabilization: about 35 for a whole 496-point
+# extension, about 86 for the automorphism search on its double
 _CELL_BYTES = 128
 
 # code space sizes up to which the narrower integer types hold every code
@@ -78,6 +113,8 @@ _MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F),
         np.uint64(0x165667B19E3779F9))
 _BATCH_BYTES = 1 << 19  # a certificate batch stays in a core's L2 cache
 _MAX_REPORT = 5  # distinct violated triples coherence_violations returns
+
+_Route = namedtuple("_Route", "reps layers count")   # see `_group_route`
 
 
 def _normalize(colors):
@@ -119,7 +156,7 @@ def _hash_modulus(n):
     return min(1 << 22, math.isqrt((1 << 53) // max(n, 1)))
 
 
-def _hash_round(M, r, rng):
+def _hash_round(M, r, rng, route=None):
     """Regroup the cells by (color, hashes); returns (new matrix, new rank).
 
     The three exact hashes are folded into one 64-bit key whose low bits
@@ -127,26 +164,30 @@ def _hash_round(M, r, rng):
     class that the exact round would split, but never joins two classes.
     A round that splits nothing returns M itself, found without a sort:
     every cell's key then equals the key of one cell of its old class.
+    With a `_group_route`, only the rows of its orbit representatives are
+    hashed and numbered, and `_expand` reads the others off them.
     """
     n = M.shape[0]
+    block = M if route is None else M[route.reps]     # the rows hashed
     p = _hash_modulus(n)
-    key = np.zeros((n, n), dtype=np.uint64)
+    key = np.zeros(block.shape, dtype=np.uint64)
     rows = max(1, _BATCH_BYTES // (16 * n), n // 8)   # >= n/8 rows: fast BLAS
     for mix in _MIX:
         BM = None                       # freed before the next weights are drawn
         A, B = rng.integers(1, p, size=(2, r)).astype(np.float64)
         BM = B[M]
-        for s in range(0, n, rows):     # row blocks: every partial sum is exact
-            key[s:s + rows] += (A[M[s:s + rows]] @ BM).astype(np.uint64) * mix
+        for s in range(0, len(block), rows):    # row blocks: every partial sum is exact
+            key[s:s + rows] += (A[block[s:s + rows]] @ BM).astype(np.uint64) * mix
         del A, B
     key <<= np.uint64(max(1, (r - 1).bit_length()))
-    key |= M.view(np.uint64)
+    key |= block.view(np.uint64)
     class_key = np.empty(r, dtype=np.uint64)
-    class_key[M] = key                          # the key of one cell per class
+    class_key[block] = key                      # the key of one cell per class
     # the last B[M] is read: it takes each cell's class key
-    if np.array_equal(key, np.take(class_key, M, out=BM.view(np.uint64), mode="clip")):
+    held = BM.view(np.uint64)[:len(block)]
+    if np.array_equal(key, np.take(class_key, block, out=held, mode="clip")):
         return M, r
-    del class_key, BM
+    del class_key, BM, held
     order = np.argsort(key, axis=None)
     key = key.ravel()[order]                    # the sorted key replaces it
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -160,7 +201,47 @@ def _hash_round(M, r, rng):
     del rank_of, counts
     new = np.empty(order.size, dtype=np.int64)
     new[order] = ids
-    return new.reshape(n, n), rank
+    new = new.reshape(block.shape)
+    return (new if route is None else _expand(new, route)), rank
+
+
+def _group_route(M, generators):
+    """The orbit rows of the group H that ``generators`` generate, as a
+    `_Route` (reps, layers, count): the least point of each H-orbit on
+    points, ascending; breadth-first layers (points, parents, inverse)
+    that reach every other point x from a parent y with g(y) = x,
+    ``inverse`` being g^-1; and the number of H-orbits on cells.  Raises
+    UsageError unless every generator g preserves M, M[g(a), g(b)] =
+    M[a, b] (checked in row blocks).  O(n) entries per generator.
+    The normalized ids are a one-to-one function of the colors of (a, b),
+    (b, a), (a, a) and (b, b) and of whether a = b, so a permutation
+    preserves M exactly when it preserves the input colors.
+    """
+    n = M.shape[0]
+    H = PermGroup(n, generators)
+    gens = np.array(H.generators, dtype=np.intp).reshape(-1, n)
+    rows = max(1, n // 8)
+    for g in gens:
+        for s in range(0, n, rows):
+            if not np.array_equal(M[g[s:s + rows, None], g], M[s:s + rows]):
+                raise UsageError("a group generator does not preserve the colors")
+    inverses = np.empty_like(gens)
+    inverses[np.arange(len(gens))[:, None], gens] = np.arange(n)
+    reps, layers = H.orbit_layers()
+    layers = [(points, parents, inverses[k]) for points, parents, k in layers]
+    return _Route(reps, layers, H.orbital_count())
+
+
+def _expand(block, route):
+    """The H-invariant matrix whose rows at the representatives of
+    `_group_route` are ``block``: M[g(y), b] = M[y, g^-1(b)], so row x is
+    the row of its parent y read through the inverse generator."""
+    n = block.shape[1]
+    full = np.empty((n, n), dtype=block.dtype)
+    full[route.reps] = block
+    for points, parents, inverse in route.layers:
+        full[points] = full[parents[:, None], inverse]
+    return full
 
 
 def _code_tables(M):
@@ -298,7 +379,7 @@ def require_stabilize_memory(n):
     require_memory(n * n * _CELL_BYTES, f"stabilize on {n} points")
 
 
-def stabilize(colors, *, certify=True):
+def stabilize(colors, *, certify=True, group=None):
     """Raw stable matrix of the coherent closure of the given partition.
 
     With ``certify=False`` the exact certificate is skipped and the first
@@ -307,16 +388,30 @@ def stabilize(colors, *, certify=True):
     depends on color ids only, so every bijection of the points that
     preserves the input colors preserves each of its classes.  First
     the memory is checked (`require_stabilize_memory`).
+
+    ``group`` lists the generators of a group H that preserves the input
+    colors (UsageError otherwise).  Hash rounds then run on the rows of
+    one point per H-orbit, and the loop stops once the rank reaches the
+    number of H-orbits on cells: the hash partition is no finer than the
+    closure, which is no finer than the H-orbitals, so the three are
+    equal and no certificate is needed.  A round that splits nothing
+    below that count goes to the certificate, as without a group.  The
+    raw ids are the same with and without ``group``: by first appearance
+    if any class split, else `_normalize`'s.  The input is released
+    once `_normalize` has read it.
     """
     n = len(colors)
     require_stabilize_memory(n)
     M, split = _normalize(colors)
+    del colors
     if n == 0:
         return M
+    route = None if group is None else _group_route(M, group)
+    stop = n * n if route is None else route.count
     r = int(M.max()) + 1
     rng = np.random.default_rng(0x5EED)
-    while r < n * n:
-        M2, r2 = _hash_round(M, r, rng)
+    while r < stop:
+        M2, r2 = _hash_round(M, r, rng, route)
         if r2 > r:
             M, r, split = M2, r2, False
         elif not certify or _is_coherent(M):
@@ -334,17 +429,28 @@ def coherent_closure(colors):
     return CoherentConfiguration(stabilize(colors))
 
 
-def extend_points(cfg, points):
-    """Coherent closure with the listed points split off as singleton fibers."""
+def extend_points(cfg, points, *, group=None):
+    """Coherent closure with the listed points split off as singleton fibers.
+
+    ``group``, a PermGroup that fixes each listed point and preserves cfg,
+    hands its generators to `stabilize`'s group route.  The recolored copy
+    of cfg's colors is made in the call to `stabilize`, which thus holds
+    its only reference and frees it after normalizing.
+    """
     points = [int(p) for p in points]
     if len(set(points)) != len(points):
         raise UsageError("extension points must be distinct")
     if any(p < 0 or p >= cfg.degree for p in points):
         raise UsageError("extension point out of range")
+    generators = None if group is None else group.generators
+    return CoherentConfiguration(stabilize(_with_singletons(cfg, points), group=generators))
+
+
+def _with_singletons(cfg, points):
     M = cfg.colors.copy()
     for i, p in enumerate(points):
         M[p, p] = cfg.rank + i
-    return CoherentConfiguration(stabilize(M))
+    return M
 
 
 def two_extension(cfg):

@@ -473,3 +473,35 @@ def test_order_and_membership_match_sympy():
         for p in probes:
             assert G.contains(p) == oracle.contains(Permutation(list(p)))
         assert all(G.contains(w) for w in words)
+
+
+def test_orbit_layers_span_each_orbit_from_its_least_point():
+    rng = np.random.default_rng(7)
+    for n in (1, 5, 12, 40):
+        for k in (0, 1, 2):
+            G = PermGroup(n, [tuple(rng.permutation(n).tolist()) for _ in range(k)])
+            least = G.orbit_minima()
+            reps, layers = G.orbit_layers()
+            assert np.array_equal(reps, np.flatnonzero(least == np.arange(n)))
+            reached = set(reps.tolist())
+            for points, parents, g in layers:
+                assert np.array_equal(np.asarray(G.generators[g])[parents], points)
+                assert set(parents.tolist()) <= reached
+                assert not reached & set(points.tolist())
+                reached |= set(points.tolist())
+            assert reached == set(range(n))
+
+
+def test_orbital_count_is_the_rank_of_the_orbitals():
+    # both branches: at most n elements (Burnside), and more
+    rng = np.random.default_rng(8)
+    small = set()
+    for n in (1, 6, 10, 12):
+        for k in (0, 1, 2):
+            G = PermGroup(n, [tuple(rng.permutation(n).tolist()) for _ in range(k)])
+            for H in (G, G.point_stabilizer(0)):
+                assert H.orbital_count() == H.orbitals().rank
+                small.add(H.order() <= n)
+    assert small == {True, False}
+    assert PermGroup(12, [tuple(range(1, 12)) + (0,), (1, 0) + tuple(range(2, 12))]
+                     ).orbital_count() == 2   # S12, far more than 12 elements

@@ -229,6 +229,15 @@ def test_extend_points_holds_at_most_45_bytes_per_cell(extend496):
         assert peak <= 45 * ext.colors.size
 
 
+def test_extend_points_frees_its_input_copy(extend496):
+    # the recolored copy of the input lives only in stabilize's frame,
+    # which drops it after normalizing: 34.7 bytes per cell on both
+    # extensions, where holding it to the end took 40.0 and 42.2
+    for cfg, points in extend496:
+        ext, peak = traced_peak(extend_points, cfg, points)
+        assert peak <= 37 * ext.colors.size
+
+
 CELL_PHASES = [(wl, "_normalize"), (wl, "_hash_round"), (wl, "_is_coherent"),
                (wl, "first_occurrence_relabel"), (cc, "canonicalize_colors")]
 
@@ -410,11 +419,11 @@ def test_rejected_certificate_redraws_hashes(monkeypatch, hollmann8):
     real_round, real_certificate = wl._hash_round, wl._is_coherent
     rounds, verdicts = [], []
 
-    def no_split_first(M, r, rng):
+    def no_split_first(M, r, rng, *route):
         rounds.append(r)
         if len(rounds) == 1:
             return M, r
-        return real_round(M, r, rng)
+        return real_round(M, r, rng, *route)
 
     def certificate(M):
         verdicts.append(real_certificate(M))
@@ -582,8 +591,8 @@ def test_hash_round_returns_a_stable_matrix_unchanged(hollmann8):
 def count_hash_rounds(monkeypatch):
     real, rounds = wl._hash_round, []
 
-    def counting(M, r, rng):
-        out = real(M, r, rng)
+    def counting(M, r, rng, *route):
+        out = real(M, r, rng, *route)
         rounds.append(out[0] is M)
         return out
 
@@ -662,3 +671,90 @@ def test_hash_products_are_exact():
     p = wl._hash_modulus(n)
     W = np.full((n, n), float(p - 1))
     assert ((W @ W) == n * (p - 1) ** 2).all()
+
+
+# The group route: hash rounds on one row per orbit of a group that
+# preserves the input, stopped once the rank reaches the orbit count.
+
+def passman_pairs(passman_schemes):
+    """The 27 inputs of claim 310520d: passman(q), q = 3..13, with the first
+    pair (0, b) of each irreflexive color split off, and G_{0,b}."""
+    for q, (cfg, G, _) in sorted(passman_schemes.items()):
+        G0 = G.point_stabilizer(0)
+        for t in range(cfg.rank):
+            if not cfg.is_reflexive(t):
+                a, b = cfg.first_pair(t)
+                assert a == 0
+                yield with_fixed_points(cfg, [a, b]), G0.stabilizer_prefix((b,))
+
+
+def without_certificate(monkeypatch):
+    calls = []
+    real = wl._is_coherent
+
+    def recording(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(wl, "_is_coherent", recording)
+    return calls
+
+
+def test_group_route_keeps_raw_ids_on_the_passman_pairs(monkeypatch, passman_schemes):
+    certificates = without_certificate(monkeypatch)
+    inputs = list(passman_pairs(passman_schemes))
+    assert len(inputs) == 27
+    for M, H in inputs:
+        today = stabilize(M)
+        del certificates[:]
+        assert np.array_equal(stabilize(M, group=H.generators), today)
+        # the orbit count is the closure's rank: the route stops early
+        assert not certificates
+        reps, _, count = wl._group_route(wl._normalize(M)[0], H.generators)
+        assert count == int(today.max()) + 1 and len(reps) < len(M)
+
+
+def test_group_route_keeps_raw_ids_on_large_extensions(monkeypatch, hollmann8,
+                                                       hollmann16):
+    certificates = without_certificate(monkeypatch)
+    for cfg, G in (hollmann8, hollmann16):
+        G0 = G.point_stabilizer(0)
+        today = extend_points(cfg, [0])
+        del certificates[:]
+        assert np.array_equal(extend_points(cfg, [0], group=G0).colors, today.colors)
+        assert not certificates
+
+
+def test_trivial_group_hashes_every_row(hollmann8):
+    M = with_fixed_points(hollmann8[0], [0])
+    N = wl._normalize(M)[0]
+    n = len(M)
+    for group in ([], [tuple(range(n))]):
+        reps, layers, count = wl._group_route(N, group)
+        assert np.array_equal(reps, np.arange(n)) and layers == [] and count == n * n
+        assert np.array_equal(stabilize(M, group=group), stabilize(M))
+
+
+def test_group_that_breaks_the_colors_is_a_usage_error(hollmann8):
+    cfg, G = hollmann8
+    M = with_fixed_points(cfg, [0])
+    # G preserves the scheme, but some generator moves the point 0
+    with pytest.raises(UsageError, match="does not preserve"):
+        stabilize(M, group=G.generators)
+    with pytest.raises(UsageError, match="does not preserve"):
+        extend_points(cfg, [0], group=G)
+    with pytest.raises(UsageError, match="not a permutation"):
+        stabilize(M, group=[(0,) * len(M)])
+
+
+def test_fallback_certifies_when_the_counts_disagree(monkeypatch, small8):
+    # hollmann_small(8) is the trivial scheme: its constructing group's G_0
+    # has more orbits on cells than the extension has classes
+    cfg, G = small8
+    G0 = G.point_stabilizer(0)
+    M = with_fixed_points(cfg, [0])
+    today = stabilize(M)
+    assert wl._group_route(wl._normalize(M)[0], G0.generators)[2] > int(today.max()) + 1
+    certificates = without_certificate(monkeypatch)
+    assert np.array_equal(stabilize(M, group=G0.generators), today)
+    assert certificates == [M.shape]

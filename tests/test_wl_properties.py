@@ -1,7 +1,7 @@
 """Seeded property tests of `wl.stabilize` against the frozen exact
-reference in test_wl: raw ids, relabeling of the points, idempotence;
-and of the canonical ids of `CoherentConfiguration`: partition equality
-and the reflexive classes."""
+reference in test_wl: raw ids, relabeling of the points, idempotence,
+the group route; and of the canonical ids of `CoherentConfiguration`:
+partition equality and the reflexive classes."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from cohcfg import wl
 from cohcfg.cc import (CoherentConfiguration, first_occurrence_relabel,
                        same_partition)
+from cohcfg.perm import PermGroup
 from cohcfg.wl import stabilize
 
 from test_wl import reference_stabilize
@@ -102,8 +103,8 @@ def test_fiber_split_alone_is_renumbered_by_first_appearance(monkeypatch):
     ids, split = wl._normalize(M)
     real, rounds = wl._hash_round, []
 
-    def recording(M, r, rng):
-        rounds.append(real(M, r, rng))
+    def recording(M, r, rng, *route):
+        rounds.append(real(M, r, rng, *route))
         return rounds[-1]
 
     monkeypatch.setattr(wl, "_hash_round", recording)
@@ -112,6 +113,29 @@ def test_fiber_split_alone_is_renumbered_by_first_appearance(monkeypatch):
     assert split and all(rank == int(ids.max()) + 1 for _, rank in rounds)
     assert np.array_equal(out, reference_stabilize(M))
     assert not np.array_equal(out, ids)
+
+
+@st.composite
+def groups_and_points(draw):
+    """a group on n <= 12 points from up to three random generators, and a
+    point x"""
+    n = draw(st.integers(1, 12))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=3))
+    return PermGroup(n, gens), draw(st.integers(0, n - 1))
+
+
+@SETTINGS
+@hypothesis.given(groups_and_points())
+def test_point_stabilizer_route_keeps_raw_ids(drawn):
+    # the one-point extension of G's orbitals at x, with and without G_x;
+    # the orbit count is never below the closure's rank
+    G, x = drawn
+    M = G.orbitals().colors.copy()
+    M[x, x] = M.max() + 1
+    H = G.point_stabilizer(x)
+    today = stabilize(M)
+    assert np.array_equal(stabilize(M, group=H.generators), today)
+    assert H.orbital_count() == H.orbitals().rank >= int(today.max()) + 1
 
 
 @st.composite
