@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cohcfg import errors, wl
+from cohcfg.cc import CoherentConfiguration
 from cohcfg.cli import main
 from cohcfg.errors import FormatError
 from cohcfg.iofmt import dumps, loads, read_file, write_file
@@ -257,6 +258,22 @@ def test_analyze_predicate_failure_exits_nonzero(tmp_path, capsys, hollmann8):
     code, text, _ = run(capsys, "analyze", str(path), "--partly-regular")
     assert code == 1
     assert "partly-regular false" in text
+
+
+def test_full_validation_names_a_violated_triple(tmp_path, capsys, monkeypatch, hollmann8):
+    # two colors of hollmann_large(8) fused: rank 3 on 28 points, so the
+    # product route rejects and the sort kernel names the triple; exit
+    # code and stdout as the sort kernel alone gave them
+    cfg, _ = hollmann8
+    path = tmp_path / "fused.cohcfg"
+    write_file(CoherentConfiguration(np.array([0, 1, 1, 2])[cfg.colors]), path)
+    real, verdicts = wl._product_certificate, []
+    monkeypatch.setattr(wl, "_product_certificate",
+                        lambda M, r: verdicts.append(real(M, r)) or verdicts[-1])
+    code, text, _ = run(capsys, "analyze", str(path), "--validate=full")
+    assert verdicts == [False]
+    assert code == 1
+    assert text == "degree 28\nrank 3\nvalid false\nwitness ('coherent', (1, 1, 2))\n"
 
 
 def test_missing_file(capsys):

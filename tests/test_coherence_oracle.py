@@ -1,4 +1,4 @@
-"""An independent coherence oracle for n <= 100 points.
+"""An independent coherence oracle for n <= 128 points.
 
 A partition of the cells with adjacency matrices A_s is a coherent
 configuration when the diagonal is a union of classes, the transpose of
@@ -28,7 +28,7 @@ sparse = pytest.importorskip("scipy.sparse")
 def is_coherent_by_products(M):
     M = np.asarray(M, dtype=np.int64)
     n = len(M)
-    assert n <= 100
+    assert n <= 128
     r = int(M.max()) + 1
     diagonal = np.zeros(r, dtype=bool)
     diagonal[np.diagonal(M)] = True

@@ -269,6 +269,32 @@ def test_each_phase_holds_at_most_32_bytes_per_cell(monkeypatch, extend496):
     assert max(b for _, b in held) <= 32, held
 
 
+def test_canonicalization_frees_each_radix_digit(extend496):
+    # the ids of the two-point extension need two radix passes; the second
+    # holds three orders of 8 bytes per cell, and 26 while its 16-bit
+    # digits were kept through the gather (the slack is array headers)
+    cfg, points = extend496[1]
+    colors = extend_points(cfg, points).colors
+    assert int(colors.max()) >= 1 << 16
+    _, peak = traced_peak(cc.canonicalize_colors, colors)
+    assert peak <= 24 * colors.size + 4096
+
+
+def test_product_route_holds_no_more_than_the_sorted_codes(monkeypatch, hollmann32,
+                                                           small32):
+    # the packed matrix w[M] and row blocks, 12.2 bytes per cell on both
+    # 496-point schemes, against the sorted codes' 14.5
+    for cfg, _ in (hollmann32, small32):
+        M = cfg.colors
+        assert wl._product_certificate(M, cfg.rank) is True     # the route decides
+        routed, peak = traced_peak(wl._is_coherent, M)
+        with monkeypatch.context() as patch:        # the sorted codes alone
+            patch.setattr(wl, "_product_certificate", lambda M, r: None)
+            coherent, sorted_peak = traced_peak(wl._is_coherent, M)
+        assert routed and coherent
+        assert peak <= sorted_peak and peak <= 32 * M.size, (peak, sorted_peak)
+
+
 def test_two_extension_holds_at_most_50_bytes_per_pair_cell():
     ext, peak = traced_peak(two_extension, passman_scheme(5)[0])
     assert ext.degree == 625
@@ -707,10 +733,10 @@ def test_group_route_keeps_raw_ids_on_the_passman_pairs(monkeypatch, passman_sch
     for M, H in inputs:
         today = stabilize(M)
         del certificates[:]
-        assert np.array_equal(stabilize(M, group=H.generators), today)
+        assert np.array_equal(stabilize(M, group=H), today)
         # the orbit count is the closure's rank: the route stops early
         assert not certificates
-        reps, _, count = wl._group_route(wl._normalize(M)[0], H.generators)
+        reps, _, count = wl._group_route(wl._normalize(M)[0], H)
         assert count == int(today.max()) + 1 and len(reps) < len(M)
 
 
@@ -729,7 +755,7 @@ def test_trivial_group_hashes_every_row(hollmann8):
     M = with_fixed_points(hollmann8[0], [0])
     N = wl._normalize(M)[0]
     n = len(M)
-    for group in ([], [tuple(range(n))]):
+    for group in (PermGroup(n, []), PermGroup(n, [tuple(range(n))])):
         reps, layers, count = wl._group_route(N, group)
         assert np.array_equal(reps, np.arange(n)) and layers == [] and count == n * n
         assert np.array_equal(stabilize(M, group=group), stabilize(M))
@@ -740,11 +766,13 @@ def test_group_that_breaks_the_colors_is_a_usage_error(hollmann8):
     M = with_fixed_points(cfg, [0])
     # G preserves the scheme, but some generator moves the point 0
     with pytest.raises(UsageError, match="does not preserve"):
-        stabilize(M, group=G.generators)
+        stabilize(M, group=G)
     with pytest.raises(UsageError, match="does not preserve"):
         extend_points(cfg, [0], group=G)
     with pytest.raises(UsageError, match="not a permutation"):
-        stabilize(M, group=[(0,) * len(M)])
+        stabilize(M, group=PermGroup(len(M), [(0,) * len(M)]))
+    with pytest.raises(UsageError, match="acts on 29 points, not 28"):
+        stabilize(M, group=PermGroup(len(M) + 1, []))
 
 
 def test_fallback_certifies_when_the_counts_disagree(monkeypatch, small8):
@@ -754,7 +782,134 @@ def test_fallback_certifies_when_the_counts_disagree(monkeypatch, small8):
     G0 = G.point_stabilizer(0)
     M = with_fixed_points(cfg, [0])
     today = stabilize(M)
-    assert wl._group_route(wl._normalize(M)[0], G0.generators)[2] > int(today.max()) + 1
+    assert wl._group_route(wl._normalize(M)[0], G0)[2] > int(today.max()) + 1
     certificates = without_certificate(monkeypatch)
-    assert np.array_equal(stabilize(M, group=G0.generators), today)
+    assert np.array_equal(stabilize(M, group=G0), today)
     assert certificates == [M.shape]
+
+
+# The product route of the certificate (r^2 <= n): the products of a few
+# colors, and the closure of the identity under them modulo a prime.
+
+def certificate_spies(monkeypatch):
+    """the product route's verdicts, and the cell counts handed to the
+    sort kernel"""
+    verdicts, kernel = [], []
+    route, composition = wl._product_certificate, wl._composition_mismatches
+
+    def product_certificate(M, r):
+        verdicts.append(route(M, r))
+        return verdicts[-1]
+
+    def composition_mismatches(M, cells):
+        kernel.append(cells.size)
+        return composition(M, cells)
+
+    monkeypatch.setattr(wl, "_product_certificate", product_certificate)
+    monkeypatch.setattr(wl, "_composition_mismatches", composition_mismatches)
+    return verdicts, kernel
+
+
+def three_fibers(m):
+    """three fibers of m points: I and J - I inside each, J between two"""
+    fiber = np.repeat(np.arange(3), m)
+    M = np.where(fiber[:, None] == fiber, 3 + fiber[:, None], 6 + 3 * fiber[:, None] + fiber)
+    np.fill_diagonal(M, fiber)
+    return M
+
+
+def test_product_route_maps_are_the_intersection_numbers(monkeypatch, hollmann16, hollmann32,
+                                                         small32, passman_schemes):
+    # L_s[u, t] = p^u_st for every chosen color s: packed products, one
+    # pack or several (hollmann_large(32): 14 colors, 12 per int64), one
+    # column from the row sums, and fibers of their own; the work
+    # estimate is lifted so that all of them get there
+    monkeypatch.setattr(wl, "_CODE_WORK", 100)
+    chosen, maps = [], []
+    products, close = wl._left_products, wl._Span.close
+    monkeypatch.setattr(wl, "_left_products",
+                        lambda M, s, *rest: chosen.append(int(s)) or products(M, s, *rest))
+    monkeypatch.setattr(wl._Span, "close", lambda span, L: maps.append(L) or close(span, L))
+    for cfg in (hollmann16[0], hollmann32[0], small32[0], passman_schemes[9][0],
+                passman_schemes[13][0], CoherentConfiguration(three_fibers(48))):
+        del chosen[:], maps[:]
+        assert cfg.rank ** 2 <= cfg.degree
+        assert wl._product_certificate(cfg.colors, cfg.rank) is True
+        values = cfg.tensor().values
+        generated = maps[len(cfg.reflexive_colors()):]
+        assert len(generated) == len(chosen) >= 1
+        for s, L in zip(chosen, generated):
+            assert np.array_equal(L, values[:, s, :]), (cfg, s)
+
+
+def test_product_route_decides_the_structure_schemes(monkeypatch, hollmann32, small32,
+                                                     passman_schemes):
+    # the schemes that `cohcfg analyze --validate=full` checks on 496 and
+    # 169 points: ranks 16, 4 and 8
+    verdicts, kernel = certificate_spies(monkeypatch)
+    for cfg in (hollmann32[0], small32[0], passman_schemes[13][0]):
+        assert cfg.rank ** 2 <= cfg.degree
+        assert cfg.validate("full").passed
+    assert verdicts == [True] * 3 and kernel == []
+
+
+def test_product_route_rejects_after_a_closure_one_short(monkeypatch, passman_schemes):
+    # two colors of passman(7) fused, ids compacted in order: the first
+    # color generates three of the four dimensions, and the products of
+    # the second are not constant
+    M = np.array([0, 2, 1, 1, 4])[passman_schemes[7][0].colors]
+    M = np.unique(M, return_inverse=True)[1].reshape(M.shape)
+    dims, close = [], wl._Span.close
+    monkeypatch.setattr(wl._Span, "close", lambda span, L: dims.append(close(span, L)) or dims[-1])
+    assert wl._product_certificate(M, 4) is False
+    assert dims == [1, 3]
+    assert coherence_violations(M) == [(1, 1, 1)]
+
+
+def test_product_route_rejects_unequal_row_counts_without_products(monkeypatch):
+    # the path on 9 points has degrees 1 and 2: the diagonal of A_1 A_1
+    # is not constant, which the last column's row sums assume
+    M = np.full((9, 9), 2)
+    np.fill_diagonal(M, 0)
+    M[np.arange(8), np.arange(1, 9)] = M[np.arange(1, 9), np.arange(8)] = 1
+    products = []
+    monkeypatch.setattr(wl, "_left_products", lambda *args: products.append(args))
+    assert wl._product_certificate(M, 3) is False and products == []
+    assert not naive_is_coherent(M)
+
+
+def test_extensions_keep_the_sorted_codes(monkeypatch, extend496):
+    # ranks 3856 and 123136 on 496 points
+    verdicts, kernel = certificate_spies(monkeypatch)
+    for cfg, points in extend496:
+        extend_points(cfg, points)
+    assert verdicts == [] and len(kernel) == 2
+
+
+def test_forced_fallbacks_give_the_sorted_codes_answer(monkeypatch, passman_schemes,
+                                                       hollmann16, hollmann32):
+    verdicts, kernel = certificate_spies(monkeypatch)
+    # passman(9) is amorphic: each color generates only I, A_s and J, so
+    # four of its five colors are needed, and an estimate of the sort cut
+    # to a quarter admits one
+    P9 = passman_schemes[9][0].colors
+    assert coherence_violations(P9) == [] and verdicts == [True] and not kernel
+    monkeypatch.setattr(wl, "_CODE_WORK", 0.5)
+    assert coherence_violations(P9) == [] and verdicts[1:] == [None] and len(kernel) == 1
+    # one color of hollmann_large(32) generates its algebra; modulo 2 it
+    # takes four, more than an estimate cut to 0.3 admits
+    L32 = hollmann32[0].colors
+    del verdicts[:], kernel[:]
+    monkeypatch.setattr(wl, "_CODE_WORK", 0.3)
+    assert wl._is_coherent(L32) and verdicts == [True] and not kernel
+    monkeypatch.setattr(wl, "_PRIME", 2)
+    assert wl._is_coherent(L32) and verdicts[1:] == [None] and len(kernel) == 1
+    # a non-coherent fusion, rejected by the products, then with no work
+    # admitted at all
+    monkeypatch.undo()
+    verdicts, kernel = certificate_spies(monkeypatch)
+    fused = np.array([0, 1, 1, 2, 3, 4, 5, 6])[hollmann16[0].colors]
+    want = coherence_violations(fused)
+    assert want and verdicts[-1] is False
+    monkeypatch.setattr(wl, "_CODE_WORK", 0)
+    assert coherence_violations(fused) == want and verdicts[-1] is None

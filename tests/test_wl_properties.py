@@ -1,12 +1,17 @@
 """Seeded property tests of `wl.stabilize` against the frozen exact
 reference in test_wl: raw ids, relabeling of the points, idempotence,
-the group route; and of the canonical ids of `CoherentConfiguration`:
-partition equality and the reflexive classes."""
+the group route; of the certificate's product route against the sort
+kernel and the sparse-product oracle of test_coherence_oracle; and of the
+canonical ids of `CoherentConfiguration`: partition equality and the
+reflexive classes."""
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from cohcfg import wl
+from cohcfg import schemes, wl
 from cohcfg.cc import (CoherentConfiguration, first_occurrence_relabel,
                        same_partition)
 from cohcfg.perm import PermGroup
@@ -134,7 +139,7 @@ def test_point_stabilizer_route_keeps_raw_ids(drawn):
     M[x, x] = M.max() + 1
     H = G.point_stabilizer(x)
     today = stabilize(M)
-    assert np.array_equal(stabilize(M, group=H.generators), today)
+    assert np.array_equal(stabilize(M, group=H), today)
     assert H.orbital_count() == H.orbitals().rank >= int(today.max()) + 1
 
 
@@ -171,3 +176,50 @@ def test_reflexive_colors_are_the_diagonal_ids(pair):
         off = cfg.colors[~np.eye(len(M), dtype=bool)]
         impure = ("diagonal-classes-pure", None) in cfg.validate().failures
         assert impure == bool(np.isin(off, diagonal).any())
+
+
+LOW_RANK_SCHEMES = [(schemes.hollmann_large, 8), (schemes.hollmann_large, 16),
+                    (schemes.passman_scheme, 5), (schemes.passman_scheme, 7),
+                    (schemes.passman_scheme, 9), (schemes.hollmann_small, 8)]
+
+
+@st.composite
+def low_rank_fusions(draw):
+    """a random fusion of the irreflexive colors of a scheme with r^2 <= n,
+    in about half the draws with one symmetric pair of cells recolored"""
+    build, q = draw(st.sampled_from(LOW_RANK_SCHEMES))
+    cfg = build(q)[0]
+    r = cfg.rank
+    fuse = np.array([0] + draw(st.lists(st.integers(1, r - 1), min_size=r - 1,
+                                        max_size=r - 1)))
+    M = fuse[cfg.colors]
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, cfg.degree - 1), min_size=2, max_size=2,
+                             unique=True))
+        M[a, b] = M[b, a] = draw(st.integers(1, r - 1))
+    return M
+
+
+@st.composite
+def low_rank_symmetric_partitions(draw):
+    """n <= 40 points, a pure diagonal and fewer than sqrt(n) symmetric
+    off-diagonal colors, from a seeded generator"""
+    n = draw(st.integers(4, 40))
+    k = draw(st.integers(1, math.isqrt(n) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = np.triu(rng.integers(1, k + 1, size=(n, n)), 1)
+    return M + M.T
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(low_rank_fusions(), low_rank_symmetric_partitions()))
+def test_product_route_agrees_with_the_sort_kernel_and_the_oracle(M):
+    oracle = pytest.importorskip("test_coherence_oracle")
+    M = np.unique(M, return_inverse=True)[1].reshape(M.shape)   # no unused ids
+    r = int(M.max()) + 1
+    assert r * r <= len(M)
+    with mock.patch.object(wl, "_product_certificate", lambda M, r: None):
+        kernel = wl._is_coherent(M)
+    assert wl._is_coherent(M) == kernel == oracle.is_coherent_by_products(M)
+    if len(set(zip(M.ravel().tolist(), M.T.ravel().tolist()))) == r:
+        assert wl._product_certificate(M, r) in (kernel, None)
