@@ -34,12 +34,8 @@ def cells_by_color(flat):
     top = int(flat.max()) if flat.size else 0
     order = np.argsort(flat.astype(np.uint16), kind="stable")
     for shift in range(16, top.bit_length(), 16):
-        digit = flat[order]
-        digit >>= shift
-        digit = digit.astype(np.uint16)
-        by_digit = np.argsort(digit, kind="stable")
-        del digit               # before the gather: three orders at most
-        order = order[by_digit]
+        digit = (flat[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
     return order
 
 
@@ -203,15 +199,7 @@ class CoherentConfiguration:
     # validation
 
     def validate(self, level="axioms"):
-        """Check rainbow axioms, and with level="full" exact coherence.
-
-        The full check is `wl.coherence_violations`: with r colors on n
-        points, the products of a few colors decide where r^2 <= n, as
-        for the paper's schemes, and sorted composition codes otherwise
-        or where the products fall short.  A non-coherent matrix gets up
-        to five violated triples from the sort kernel, the first as the
-        witness of "coherent".
-        """
+        """Check rainbow axioms, and with level="full" exact coherence."""
         if level not in ("axioms", "full"):
             raise UsageError(f"unknown validation level {level!r}")
         rep = VerificationReport(claim="validate", params={"level": level})

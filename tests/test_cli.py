@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cohcfg import errors, wl
+from cohcfg import errors, products, wl
 from cohcfg.cc import CoherentConfiguration
 from cohcfg.cli import main
 from cohcfg.errors import FormatError
@@ -267,9 +267,9 @@ def test_full_validation_names_a_violated_triple(tmp_path, capsys, monkeypatch, 
     cfg, _ = hollmann8
     path = tmp_path / "fused.cohcfg"
     write_file(CoherentConfiguration(np.array([0, 1, 1, 2])[cfg.colors]), path)
-    real, verdicts = wl._product_certificate, []
-    monkeypatch.setattr(wl, "_product_certificate",
-                        lambda M, r: verdicts.append(real(M, r)) or verdicts[-1])
+    real, verdicts = products.certificate, []
+    monkeypatch.setattr(products, "certificate",
+                        lambda *args: verdicts.append(real(*args)) or verdicts[-1])
     code, text, _ = run(capsys, "analyze", str(path), "--validate=full")
     assert verdicts == [False]
     assert code == 1

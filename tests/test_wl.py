@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cohcfg import analysis, cc, passman_scheme, wl
+from cohcfg import analysis, cc, passman_scheme, products, wl
 from cohcfg.cc import CoherentConfiguration
 from cohcfg.errors import IntegrityError, ResourceLimitError, UsageError
 from cohcfg.perm import PermGroup
@@ -269,27 +269,16 @@ def test_each_phase_holds_at_most_32_bytes_per_cell(monkeypatch, extend496):
     assert max(b for _, b in held) <= 32, held
 
 
-def test_canonicalization_frees_each_radix_digit(extend496):
-    # the ids of the two-point extension need two radix passes; the second
-    # holds three orders of 8 bytes per cell, and 26 while its 16-bit
-    # digits were kept through the gather (the slack is array headers)
-    cfg, points = extend496[1]
-    colors = extend_points(cfg, points).colors
-    assert int(colors.max()) >= 1 << 16
-    _, peak = traced_peak(cc.canonicalize_colors, colors)
-    assert peak <= 24 * colors.size + 4096
-
-
 def test_product_route_holds_no_more_than_the_sorted_codes(monkeypatch, hollmann32,
                                                            small32):
     # the packed matrix w[M] and row blocks, 12.2 bytes per cell on both
     # 496-point schemes, against the sorted codes' 14.5
     for cfg, _ in (hollmann32, small32):
         M = cfg.colors
-        assert wl._product_certificate(M, cfg.rank) is True     # the route decides
+        assert route_verdict(M) is True      # the route decides
         routed, peak = traced_peak(wl._is_coherent, M)
         with monkeypatch.context() as patch:        # the sorted codes alone
-            patch.setattr(wl, "_product_certificate", lambda M, r: None)
+            patch.setattr(products, "certificate", lambda *args: None)
             coherent, sorted_peak = traced_peak(wl._is_coherent, M)
         assert routed and coherent
         assert peak <= sorted_peak and peak <= 32 * M.size, (peak, sorted_peak)
@@ -791,21 +780,29 @@ def test_fallback_certifies_when_the_counts_disagree(monkeypatch, small8):
 # The product route of the certificate (r^2 <= n): the products of a few
 # colors, and the closure of the identity under them modulo a prime.
 
+def route_verdict(M):
+    """`products.certificate` on M, whose transposes close"""
+    r = int(M.max()) + 1
+    tau = np.zeros(r, dtype=np.int64)
+    tau[M] = M.T
+    return products.certificate(M, r, tau)
+
+
 def certificate_spies(monkeypatch):
     """the product route's verdicts, and the cell counts handed to the
     sort kernel"""
     verdicts, kernel = [], []
-    route, composition = wl._product_certificate, wl._composition_mismatches
+    route, composition = products.certificate, wl._composition_mismatches
 
-    def product_certificate(M, r):
-        verdicts.append(route(M, r))
+    def product_certificate(*args):
+        verdicts.append(route(*args))
         return verdicts[-1]
 
     def composition_mismatches(M, cells):
         kernel.append(cells.size)
         return composition(M, cells)
 
-    monkeypatch.setattr(wl, "_product_certificate", product_certificate)
+    monkeypatch.setattr(products, "certificate", product_certificate)
     monkeypatch.setattr(wl, "_composition_mismatches", composition_mismatches)
     return verdicts, kernel
 
@@ -824,17 +821,17 @@ def test_product_route_maps_are_the_intersection_numbers(monkeypatch, hollmann16
     # pack or several (hollmann_large(32): 14 colors, 12 per int64), one
     # column from the row sums, and fibers of their own; the work
     # estimate is lifted so that all of them get there
-    monkeypatch.setattr(wl, "_CODE_WORK", 100)
+    monkeypatch.setattr(products, "_CODE_WORK", 100)
     chosen, maps = [], []
-    products, close = wl._left_products, wl._Span.close
-    monkeypatch.setattr(wl, "_left_products",
-                        lambda M, s, *rest: chosen.append(int(s)) or products(M, s, *rest))
-    monkeypatch.setattr(wl._Span, "close", lambda span, L: maps.append(L) or close(span, L))
+    left, close = products._left_products, products._Span.close
+    monkeypatch.setattr(products, "_left_products",
+                        lambda M, s, *rest: chosen.append(int(s)) or left(M, s, *rest))
+    monkeypatch.setattr(products._Span, "close", lambda span, L: maps.append(L) or close(span, L))
     for cfg in (hollmann16[0], hollmann32[0], small32[0], passman_schemes[9][0],
                 passman_schemes[13][0], CoherentConfiguration(three_fibers(48))):
         del chosen[:], maps[:]
         assert cfg.rank ** 2 <= cfg.degree
-        assert wl._product_certificate(cfg.colors, cfg.rank) is True
+        assert route_verdict(cfg.colors) is True
         values = cfg.tensor().values
         generated = maps[len(cfg.reflexive_colors()):]
         assert len(generated) == len(chosen) >= 1
@@ -859,9 +856,10 @@ def test_product_route_rejects_after_a_closure_one_short(monkeypatch, passman_sc
     # the second are not constant
     M = np.array([0, 2, 1, 1, 4])[passman_schemes[7][0].colors]
     M = np.unique(M, return_inverse=True)[1].reshape(M.shape)
-    dims, close = [], wl._Span.close
-    monkeypatch.setattr(wl._Span, "close", lambda span, L: dims.append(close(span, L)) or dims[-1])
-    assert wl._product_certificate(M, 4) is False
+    dims, close = [], products._Span.close
+    monkeypatch.setattr(products._Span, "close",
+                        lambda span, L: dims.append(close(span, L)) or dims[-1])
+    assert route_verdict(M) is False
     assert dims == [1, 3]
     assert coherence_violations(M) == [(1, 1, 1)]
 
@@ -872,10 +870,24 @@ def test_product_route_rejects_unequal_row_counts_without_products(monkeypatch):
     M = np.full((9, 9), 2)
     np.fill_diagonal(M, 0)
     M[np.arange(8), np.arange(1, 9)] = M[np.arange(1, 9), np.arange(8)] = 1
-    products = []
-    monkeypatch.setattr(wl, "_left_products", lambda *args: products.append(args))
-    assert wl._product_certificate(M, 3) is False and products == []
+    formed = []
+    monkeypatch.setattr(products, "_left_products", lambda *args: formed.append(args))
+    assert route_verdict(M) is False and formed == []
     assert not naive_is_coherent(M)
+
+
+def test_product_route_leaves_a_diagonal_color_off_the_diagonal_to_the_sort(monkeypatch):
+    # the 5-cycle with its non-edges colored as the diagonal: every row
+    # holds color 0, but on three cells; (A_1 A_1) is 2 on the diagonal
+    # and 1 on the non-edges
+    M = np.zeros((5, 5), dtype=np.int64)
+    M[np.arange(5), (np.arange(5) + 1) % 5] = M[(np.arange(5) + 1) % 5, np.arange(5)] = 1
+    with monkeypatch.context() as patch:        # the sorted codes alone
+        patch.setattr(products, "certificate", lambda *args: None)
+        want = coherence_violations(M)
+    verdicts, kernel = certificate_spies(monkeypatch)
+    assert want and coherence_violations(M) == want
+    assert verdicts == [None] and kernel
 
 
 def test_extensions_keep_the_sorted_codes(monkeypatch, extend496):
@@ -894,15 +906,15 @@ def test_forced_fallbacks_give_the_sorted_codes_answer(monkeypatch, passman_sche
     # to a quarter admits one
     P9 = passman_schemes[9][0].colors
     assert coherence_violations(P9) == [] and verdicts == [True] and not kernel
-    monkeypatch.setattr(wl, "_CODE_WORK", 0.5)
+    monkeypatch.setattr(products, "_CODE_WORK", 0.5)
     assert coherence_violations(P9) == [] and verdicts[1:] == [None] and len(kernel) == 1
     # one color of hollmann_large(32) generates its algebra; modulo 2 it
     # takes four, more than an estimate cut to 0.3 admits
     L32 = hollmann32[0].colors
     del verdicts[:], kernel[:]
-    monkeypatch.setattr(wl, "_CODE_WORK", 0.3)
+    monkeypatch.setattr(products, "_CODE_WORK", 0.3)
     assert wl._is_coherent(L32) and verdicts == [True] and not kernel
-    monkeypatch.setattr(wl, "_PRIME", 2)
+    monkeypatch.setattr(products, "_PRIME", 2)
     assert wl._is_coherent(L32) and verdicts[1:] == [None] and len(kernel) == 1
     # a non-coherent fusion, rejected by the products, then with no work
     # admitted at all
@@ -911,5 +923,5 @@ def test_forced_fallbacks_give_the_sorted_codes_answer(monkeypatch, passman_sche
     fused = np.array([0, 1, 1, 2, 3, 4, 5, 6])[hollmann16[0].colors]
     want = coherence_violations(fused)
     assert want and verdicts[-1] is False
-    monkeypatch.setattr(wl, "_CODE_WORK", 0)
+    monkeypatch.setattr(products, "_CODE_WORK", 0)
     assert coherence_violations(fused) == want and verdicts[-1] is None

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cohcfg import schemes, wl
+from cohcfg import products, schemes, wl
 from cohcfg.cc import (CoherentConfiguration, first_occurrence_relabel,
                        same_partition)
 from cohcfg.perm import PermGroup
@@ -185,12 +185,14 @@ LOW_RANK_SCHEMES = [(schemes.hollmann_large, 8), (schemes.hollmann_large, 16),
 
 @st.composite
 def low_rank_fusions(draw):
-    """a random fusion of the irreflexive colors of a scheme with r^2 <= n,
-    in about half the draws with one symmetric pair of cells recolored"""
+    """a random fusion of the colors of a scheme with r^2 <= n, in about
+    half the draws with the diagonal kept pure, and in about half with
+    one symmetric pair of cells recolored"""
     build, q = draw(st.sampled_from(LOW_RANK_SCHEMES))
     cfg = build(q)[0]
     r = cfg.rank
-    fuse = np.array([0] + draw(st.lists(st.integers(1, r - 1), min_size=r - 1,
+    least = draw(st.sampled_from([0, 1]))      # 0: an irreflexive color may join the diagonal
+    fuse = np.array([0] + draw(st.lists(st.integers(least, r - 1), min_size=r - 1,
                                         max_size=r - 1)))
     M = fuse[cfg.colors]
     if draw(st.booleans()):
@@ -202,12 +204,17 @@ def low_rank_fusions(draw):
 
 @st.composite
 def low_rank_symmetric_partitions(draw):
-    """n <= 40 points, a pure diagonal and fewer than sqrt(n) symmetric
-    off-diagonal colors, from a seeded generator"""
+    """n <= 40 points, the diagonal colored 0 and fewer than sqrt(n)
+    symmetric off-diagonal colors, from a seeded generator; in about half
+    the draws a few symmetric pairs of cells take the diagonal's color"""
     n = draw(st.integers(4, 40))
     k = draw(st.integers(1, math.isqrt(n) - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     M = np.triu(rng.integers(1, k + 1, size=(n, n)), 1)
+    if draw(st.booleans()):
+        a, b = np.triu_indices(n, 1)
+        pick = rng.choice(a.size, size=draw(st.integers(1, 3)), replace=False)
+        M[a[pick], b[pick]] = 0
     return M + M.T
 
 
@@ -218,8 +225,15 @@ def test_product_route_agrees_with_the_sort_kernel_and_the_oracle(M):
     M = np.unique(M, return_inverse=True)[1].reshape(M.shape)   # no unused ids
     r = int(M.max()) + 1
     assert r * r <= len(M)
-    with mock.patch.object(wl, "_product_certificate", lambda M, r: None):
+    with mock.patch.object(products, "certificate", lambda *args: None):
         kernel = wl._is_coherent(M)
-    assert wl._is_coherent(M) == kernel == oracle.is_coherent_by_products(M)
+    assert wl._is_coherent(M) == kernel
+    # the oracle rejects a diagonal color off the diagonal, which the sort
+    # kernel's multisets need not
+    off = M[~np.eye(len(M), dtype=bool)]
+    if not np.isin(off, np.diagonal(M)).any():
+        assert kernel == oracle.is_coherent_by_products(M)
     if len(set(zip(M.ravel().tolist(), M.T.ravel().tolist()))) == r:
-        assert wl._product_certificate(M, r) in (kernel, None)
+        tau = np.zeros(r, dtype=np.int64)
+        tau[M] = M.T
+        assert products.certificate(M, r, tau) in (kernel, None)
