@@ -22,13 +22,14 @@ Search nodes stabilize without the exact coherence certificate
 (``stabilize(..., certify=False)``).  As in the individualization-
 refinement framework of McKay and Piperno, "Practical graph isomorphism,
 II" (J. Symb. Comput. 60, 2014), the refinement only has to be
-isomorphism-invariant, and it is: `_normalize`, whose fiber split reads
-the diagonal colors of a cell's row and column points, and every hash
-round compute a cell's new class from color ids alone, with one set of
-weights for all cells, so a permutation of the double that preserves
-the input colors maps each hash class onto itself, even a class that a
-hash collision left coarser than the closure.  Renumbering the classes
-(by code value or by first appearance) keeps each of them.  The balance
+isomorphism-invariant, and it is: `_normalize`, whose point split
+labels a cell's row and column points by their fibers and hashed
+multisets of (color, fiber) pairs, and every hash round compute a cell's
+new class from color ids alone, with one set of weights for all cells
+and points, so a permutation of the double that preserves the input
+colors maps each class onto itself, even a class that a hash collision
+left coarser than the closure.  Renumbering the classes (by code value,
+by label value or by first appearance) keeps each of them.  The balance
 pruning and the candidate lists are therefore sound on the uncertified
 partition; a collision can only make the search visit more nodes, and
 every leaf bijection is still verified cell by cell.

@@ -21,21 +21,34 @@ from .perm import PermGroup
 from .report import VerificationReport
 
 
+def _block(size):
+    """Cells per block of a pass over sorted cells: a 32nd of them, so
+    that a block's temporaries hold a quarter byte per cell each."""
+    return max(1 << 12, size >> 5)
+
+
 def cells_by_color(flat):
     """Stable argsort of a flat array of integer ids, in linear time.
 
     One LSD radix pass per 16 bits of the largest id: numpy's stable
     sort of uint16 keys is a counting sort.  Negative ids are shifted
-    by the minimum first.
+    by the minimum first.  The digits of the later passes are gathered
+    in blocks into one uint16 array, and each pass's order is written
+    over its sort permutation: 18 bytes per cell above the input.
     """
     flat = np.asarray(flat).ravel()
     if flat.size and flat.min() < 0:
         flat = flat - flat.min()
     top = int(flat.max()) if flat.size else 0
-    order = np.argsort(flat.astype(np.uint16), kind="stable")
+    digit = flat.astype(np.uint16)
+    block = _block(flat.size)
+    order = np.argsort(digit, kind="stable")
     for shift in range(16, top.bit_length(), 16):
-        digit = (flat[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
+        for s in range(0, flat.size, block):
+            digit[s:s + block] = flat[order[s:s + block]] >> shift
+        step = np.argsort(digit, kind="stable")
+        # out= the indices: each entry is read before it is written
+        order = np.take(order, step, out=step, mode="clip")
     return order
 
 
@@ -47,28 +60,54 @@ def color_classes(flat):
     The inverse is ``flat`` itself when the ids are already 0..r-1, a
     lookup table when the largest id is below the cell count, and a
     running count over the sorted cells otherwise (a table that size
-    could exhaust memory).
+    could exhaust memory), made in blocks.
     """
     flat = np.asarray(flat).ravel()
     order = cells_by_color(flat)
-    change = np.ones(flat.size, dtype=bool)
-    for s in range(0, flat.size, 1 << 16):      # sorted ids in blocks, no copy
-        keys = flat[order[s:s + (1 << 16) + 1]]
-        np.not_equal(keys[1:], keys[:-1], out=change[s + 1:s + keys.size])
-    first = order[np.flatnonzero(change)]
+    change = _class_starts(flat, order)
+    r = int(np.count_nonzero(change))
+    low, high = (int(flat[order[0]]), int(flat[order[-1]])) if r else (0, -1)
+    ranks = low == 0 and high == r - 1
+    count = not ranks and (low < 0 or high >= flat.size)
+    first = np.empty(r, dtype=np.int64)
+    inverse = np.empty(flat.size, dtype=np.int64) if count else None
+    _scan_classes(order, change, first, inverse)
+    del order, change
     values = flat[first]
-    r = values.size
-    if r == 0 or (values[0] == 0 and values[-1] == r - 1):
+    if ranks:
         inverse = flat
-    elif values[0] >= 0 and values[-1] < flat.size:
-        table = np.empty(int(values[-1]) + 1, dtype=np.int64)
+    elif not count:
+        table = np.empty(high + 1, dtype=np.int64)
         table[values] = np.arange(r)
         inverse = table[flat]
-    else:
-        ids = np.cumsum(change) - 1
-        inverse = np.empty(flat.size, dtype=np.int64)
-        inverse[order] = ids
     return values, first, inverse
+
+
+def _class_starts(flat, order):
+    """Boolean mask of the sorted cells that start a class."""
+    change = np.ones(flat.size, dtype=bool)
+    block = _block(flat.size)
+    for s in range(0, flat.size, block):      # sorted ids in blocks, no copy
+        keys = flat[order[s:s + block + 1]]
+        np.not_equal(keys[1:], keys[:-1], out=change[s + 1:s + keys.size])
+    return change
+
+
+def _scan_classes(order, change, first, inverse):
+    """Write the first cell of each class into ``first`` and, unless
+    ``inverse`` is None, the class of each cell into ``inverse``, a block
+    of the sorted cells at a time (``change`` marks the first of each)."""
+    j = 0                                   # the classes that start before the block
+    block = _block(order.size)
+    for s in range(0, order.size, block):
+        cells, new = order[s:s + block], change[s:s + block]
+        starts = cells[new]
+        first[j:j + starts.size] = starts
+        if inverse is not None:
+            ids = np.cumsum(new, dtype=np.int64)
+            ids += j - 1
+            inverse[cells] = ids
+        j += starts.size
 
 
 def first_occurrence_relabel(colors):

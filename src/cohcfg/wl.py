@@ -2,14 +2,28 @@
 
 Each round recolors every pair (a, b) by its old color and the multiset
 of color pairs (c(a, g), c(g, b)) over all points g.  `stabilize` first
-numbers the cells by (color, transposed color, diagonal flag) and by the
-fibers, the diagonal color classes, of their row and column points
-(`_normalize`).  Exact round 1 makes that fiber split too: its term
-g = a is (c(a, a), c(a, b)), and a diagonal color occurs nowhere off
-the diagonal, so the multiset names the fibers of a and b.  A
-configuration that is stable but for a few recolored diagonal cells,
-such as a point extension or a node of the automorphism search, thus
-needs one hash round fewer.  Then it runs in two phases.
+numbers the cells by (color, transposed color, diagonal flag) and by
+labels of their row and column points (`_normalize`), the point split:
+the label of a point names its fiber (diagonal color class) and hashes
+the multisets of (c(a, g), fiber(g)) and of (c(g, a), fiber(g)) over
+all g (`_point_labels`).  This is the color refinement that
+individualization-refinement runs after each individualized point
+(McKay and Piperno, "Practical graph isomorphism, II", J. Symb. Comput.
+60 (2014)), in O(n^2) work where a hash round does O(n^3).
+- It is no finer than two exact rounds.  Exact round 1 names the fibers
+  of a and b: its term g = a is (c(a, a), c(a, b)), and a diagonal code
+  occurs nowhere off the diagonal.  So after it the color of (a, g)
+  names (c(a, g), c(g, a), fiber(g)), and the multisets of round 2 at
+  (a, b) project onto those of the row label of a (first coordinates)
+  and of the column label of b (second coordinates).  A hash collision
+  only makes a label coarser.
+- It equals two exact rounds on a coherent configuration with a
+  few points individualized as singleton fibers, as in a point extension
+  or at a node of the automorphism search: round 1 then splits only the
+  cells of the new fibers' rows and columns, and round 2 adds the colors
+  from a and b to each new point, which the labels name.  Such a call
+  thus needs two hash rounds fewer.
+Then it runs in two phases.
 
 1. Hash rounds.  The multiset of a cell is replaced by three bilinear
    hashes H = A[M] @ B[M], with A and B seeded random integer weights
@@ -52,17 +66,18 @@ The codes of the 496-point extensions fit 16 bits where c * r + c'
 needs 32 or 64; the narrowest integer type that holds them is sorted.
 
 Equal multisets hash equal, so every hash round is no finer than the
-exact round, and the fiber split is no finer than exact round 1; by
+exact round, and the point split is no finer than two exact rounds; by
 induction the hash partition is never finer than the exact WL
 partition.  A certified partition is coherent and refines the input, so
 it is also no coarser than the coarsest coherent refinement; the two
 are equal.  First-appearance ids depend on the partition only, so the
-returned ids are those of exact WL rounds.  Where the fiber split
+returned ids are those of exact WL rounds.  Where the point split
 splits nothing, the normalized ids are those of the untagged code, as
-in an exact run whose first round splits nothing.  Where it splits a
+in an exact run whose first rounds split nothing; the label values,
+which depend on the weights, never reach the output.  Where it splits a
 class and no hash round splits anything after it, the result is
-renumbered by first appearance once, at the end, as exact round 1 would
-have done.
+renumbered by first appearance once, at the end, as the exact rounds
+would have done.
 
 The group route (``stabilize(..., group=H)``, a `PermGroup`).  Let H be a
 group whose elements preserve the input colors.  The hashes read color
@@ -97,7 +112,8 @@ confirming round nor the certificate.
 
 Memory.  A phase frees each temporary after its last read and holds,
 above its input, per-color arrays and at most three of 8 bytes per cell:
-the code, its order and the ids (`_normalize`); the key, B[M] and row
+the code, its order and the ids (`_normalize`, whose labels take row
+blocks); the key, B[M] and row
 blocks, then the key, its order and the sorted key, then the order, new
 ids and new matrix (`_hash_round`); listed cells, code tables (the sorted
 codes of `_is_coherent`); for the products, see `products`.
@@ -127,40 +143,87 @@ _MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F),
 _BATCH_BYTES = 1 << 19  # a certificate batch stays in a core's L2 cache
 _MAX_REPORT = 5  # distinct violated triples coherence_violations returns
 
+_LABEL_SEED = 0x1ABE1                # the weights of `_point_labels`
 _Route = namedtuple("_Route", "reps layers count")   # see `_group_route`
 
 
 def _normalize(colors):
     """Contiguous ids refined by (color, transposed color, diagonal flag,
-    fiber of the row point, fiber of the column point); returns (ids,
-    split), with ``split`` telling whether the fiber tags split a class.
+    label of the row point, label of the column point); returns (ids,
+    split), with ``split`` telling whether the labels split a class.
 
     Enforces the rainbow preconditions: the diagonal is separated from
     off-diagonal cells and every class has a well defined transpose.
-    The fibers are the diagonal color classes.  Ids outside 0..n^2 - 1
-    are first compacted in order, so r <= n^2 and the code c * r + c'
-    stays below 2 * n^4, within int64 up to n = 46340 (a 17 GB matrix);
-    the fiber tags widen it k^2 times (k fibers), and where that could
-    pass 2^63 the untagged code is compacted first.
-    Ids number the codes in increasing order: where the tags split
+    The point labels are those of `_point_labels`.  Ids outside
+    0..n^2 - 1 are first compacted in order, so r <= n^2 and the code
+    c * r + c' stays below 2 * n^4, within int64 up to n = 46340 (a 17 GB
+    matrix).  The code is compacted again before the labels widen it k^2
+    times (k labels): through a table where that table is small, and by
+    a sort where the widened code could pass 2^63.
+    Ids number the codes in increasing order: where the labels split
     nothing, they are the ids of the untagged code.
     """
     c = np.asarray(colors, dtype=np.int64)
     n = c.shape[0]
-    if c.size and (c.min() < 0 or c.max() >= n * n):
+    if n == 0:
+        return c.reshape(0, 0), False
+    if c.min() < 0 or c.max() >= n * n:
         c = color_classes(c)[2].reshape(n, n)
-    r = int(c.max()) + 1 if c.size else 1
-    fiber = np.unique(np.diagonal(c), return_inverse=True)[1]
-    k = int(fiber.max()) + 1 if n else 1
-    code = (c * r + c.T) * 2
-    code[np.diag_indices(n)] += 1              # the diagonal flag
-    if 2 * r * r * k * k > 1 << 63:
+    r = int(c.max()) + 1
+    point, k = _point_labels(c, r)
+    code = c * r
+    code += c.T
+    del c
+    code *= 2
+    code.ravel()[::n + 1] += 1                 # the diagonal flag
+    size = 2 * r * r
+    if 8 * size <= code.size:                  # a table of at most 1 byte per cell
+        table = np.zeros(size, dtype=bool)
+        table[code] = True
+        table = np.cumsum(table, dtype=np.int64)
+        table -= 1
+        np.take(table, code, out=code, mode="clip")     # each read before its write
+    elif size * k * k > 1 << 63:
         code = color_classes(code)[2].reshape(n, n)
-    code *= k * k
-    code += fiber[:, None] * k + fiber
+    code *= k
+    code += point[:, None]
+    code *= k
+    code += point
     values, _, ids = color_classes(code)
+    del code, _
     untagged = values // (k * k)
     return ids.reshape(n, n), bool(np.any(untagged[1:] == untagged[:-1]))
+
+
+def _point_labels(c, r):
+    """(labels, k): ids 0..k-1 of the points by their fiber and a hash of
+    the multisets of (c(a, g), fiber(g)) and of (c(g, a), fiber(g)) over
+    all points g.
+
+    The fibers are the diagonal color classes.  The two hashes of point a
+    are the exact float64 products sum over g of (A[c(a, g)] + B[c(g, a)])
+    Z[fiber(g)], one row block of the matrix times two weight columns,
+    with seeded weights below the bound p of `_hash_modulus` for 2n
+    terms, so every partial sum is an exact integer; they are folded
+    into one 64-bit key whose low bits hold the fiber.  A collision can
+    only give two points of one fiber one label.
+    """
+    n = c.shape[0]
+    fiber = np.unique(np.diagonal(c), return_inverse=True)[1]
+    f = int(fiber.max()) + 1
+    p = _hash_modulus(2 * n)
+    rng = np.random.default_rng(_LABEL_SEED)
+    w = rng.integers(1, p, size=2 * (r + f)).astype(np.float64)
+    A, B, Z = w[:r], w[r:2 * r], w[2 * r:].reshape(f, 2)[fiber]
+    h = np.empty((n, 2))
+    rows = max(1, _BATCH_BYTES // (16 * n), n // 8)
+    for s in range(0, n, rows):
+        h[s:s + rows] = (A[c[s:s + rows]] + B[c.T[s:s + rows]]) @ Z
+    key = h[:, 0].astype(np.uint64) * _MIX[0] + h[:, 1].astype(np.uint64) * _MIX[-1]
+    key <<= np.uint64(max(1, (f - 1).bit_length()))
+    key |= fiber.view(np.uint64)
+    values, labels = np.unique(key, return_inverse=True)
+    return labels, values.size
 
 
 def _hash_modulus(n):
@@ -442,7 +505,7 @@ def stabilize(colors, *, certify=True, group=None):
             M, r, split = M2, r2, False
         elif not certify or _is_coherent(M):
             break
-    # ids by first appearance, as after the exact round that the fiber
+    # ids by first appearance, as after the exact rounds that the point
     # split stands for
     return first_occurrence_relabel(M) if split else M
 

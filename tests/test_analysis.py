@@ -500,13 +500,20 @@ def test_search_needs_no_coherence_certificate(monkeypatch, hollmann8,
     assert np.array_equal(cfg8.colors[np.ix_(f, f)], np.asarray(phi)[cfg8.colors])
 
 
+def fiber_labels(c, r):
+    values, fiber = np.unique(np.diagonal(c), return_inverse=True)
+    return fiber, values.size
+
+
 def test_search_answers_survive_hash_collisions(monkeypatch, hollmann8,
                                                 hollmann16, passman_schemes):
     cfgs = [passman_schemes[3][0], passman_schemes[5][0], hollmann8[0],
             hollmann16[0]]
-    # one hash with weights 1 and 2 collides often
+    # one hash with weights 1 and 2 collides often, and point labels that
+    # keep only the fibers collide on every multiset
     monkeypatch.setattr(wl, "_MIX", wl._MIX[:1])
     monkeypatch.setattr(wl, "_hash_modulus", lambda n: 3)
+    monkeypatch.setattr(wl, "_point_labels", fiber_labels)
     calls = record_stabilize(monkeypatch, analysis)
     # the orders and the oracle count without collisions
     assert [automorphism_group(cfg).order for cfg in cfgs] == [72, 400, 504, 4080]

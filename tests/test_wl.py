@@ -231,11 +231,21 @@ def test_extend_points_holds_at_most_45_bytes_per_cell(extend496):
 
 def test_extend_points_frees_its_input_copy(extend496):
     # the recolored copy of the input lives only in stabilize's frame,
-    # which drops it after normalizing: 34.7 bytes per cell on both
-    # extensions, where holding it to the end took 40.0 and 42.2
+    # which drops it after normalizing: 32.0 and 34.2 bytes per cell on
+    # the two extensions, where holding it to the end took 40.0 and 42.2
     for cfg, points in extend496:
         ext, peak = traced_peak(extend_points, cfg, points)
         assert peak <= 37 * ext.colors.size
+
+
+def test_normalize_holds_at_most_32_bytes_per_cell_on_search_nodes(extend496):
+    # the two extensions with two more diagonal cells recolored, as at a
+    # node of the automorphism search: many colors, codes past 16 bits
+    for cfg, points in extend496:
+        M = extend_points(cfg, points).colors.astype(np.int64)
+        M[0, 0], M[1, 1] = M.max() + 1, M.max() + 2
+        _, peak = traced_peak(wl._normalize, M)
+        assert peak <= 32 * M.size
 
 
 CELL_PHASES = [(wl, "_normalize"), (wl, "_hash_round"), (wl, "_is_coherent"),
@@ -315,18 +325,25 @@ def reference_stabilize(colors):
         return M
     r = int(M.max()) + 1
     while r < n * n:
-        new = np.empty((n, n), dtype=np.int64)
-        ids = {}
-        for a in range(n):
-            codes = M[a, None, :] * r + M.T
-            codes.sort(axis=1)
-            for b in range(n):
-                key = (int(M[a, b]), codes[b].tobytes())
-                new[a, b] = ids.setdefault(key, len(ids))
-        if len(ids) == r:
+        new = reference_round(M)
+        if int(new.max()) + 1 == r:
             break
-        M, r = new, len(ids)
+        M, r = new, int(new.max()) + 1
     return M
+
+
+def reference_round(M):
+    """One exact round on ids 0..r-1, numbered by first appearance."""
+    n, r = M.shape[0], int(M.max()) + 1
+    new = np.empty((n, n), dtype=np.int64)
+    ids = {}
+    for a in range(n):
+        codes = M[a, None, :] * r + M.T
+        codes.sort(axis=1)
+        for b in range(n):
+            key = (int(M[a, b]), codes[b].tobytes())
+            new[a, b] = ids.setdefault(key, len(ids))
+    return new
 
 
 def first_appearance(M):
@@ -615,19 +632,19 @@ def count_hash_rounds(monkeypatch):
     return rounds
 
 
-def test_fiber_split_saves_one_round_per_recolored_call(monkeypatch, hollmann8,
-                                                        hollmann16):
-    # hash rounds alone take four rounds here; the fiber split does the
-    # first, and the last, which splits nothing, skips the sort
+def test_point_split_saves_two_rounds_per_recolored_call(monkeypatch, hollmann8,
+                                                         hollmann16):
+    # hash rounds alone take four rounds here; the point split does the
+    # first two, and the last, which splits nothing, skips the sort
     rounds = count_hash_rounds(monkeypatch)
     extend_points(hollmann8[0], [0])
-    assert (len(rounds), sum(rounds)) == (4 - 1, 1)
+    assert (len(rounds), sum(rounds)) == (4 - 2, 1)
     # ten stabilizations that hash rounds alone close in 30 rounds; the
-    # root has one fiber, so only the nine individualizations save one,
+    # root has one fiber, so only the nine individualizations save two,
     # and every call ends in one round that skips the sort
     rounds.clear()
     analysis.automorphism_group(hollmann16[0])
-    assert (len(rounds), sum(rounds)) == (30 - 9, 10)
+    assert (len(rounds), sum(rounds)) == (30 - 2 * 9, 10)
 
 
 def test_closure_of_large_and_negative_ids():
@@ -653,6 +670,18 @@ def test_fiber_tagged_codes_do_not_overflow():
     assert 2 * n ** 6 > 1 << 63
     M = np.arange(n * n).reshape(n, n)
     assert np.array_equal(stabilize(M), M)
+
+
+def test_point_tagged_codes_do_not_overflow():
+    # one fiber and distinct off-diagonal ids below n^2 = r: the n point
+    # labels widen the code c * r + c' n^2 times, past 2^63 from n = 1291 on
+    n = 1300
+    M = np.arange(n * n).reshape(n, n)
+    np.fill_diagonal(M, 0)
+    r = n * n
+    assert 2 * r * r * n * n > 1 << 63
+    assert wl._point_labels(M, r)[1] == n
+    assert np.array_equal(stabilize(M), np.arange(n * n).reshape(n, n))
 
 
 def test_coherence_violations_of_sparse_ids():

@@ -1,9 +1,10 @@
 """Seeded property tests of `wl.stabilize` against the frozen exact
 reference in test_wl: raw ids, relabeling of the points, idempotence,
-the group route; of the certificate's product route against the sort
-kernel and the sparse-product oracle of test_coherence_oracle; and of the
-canonical ids of `CoherentConfiguration`: partition equality and the
-reflexive classes."""
+the point split of `_normalize` against exact rounds, the group route;
+of the certificate's product route against the sort kernel and the
+sparse-product oracle of test_coherence_oracle; and of the canonical ids
+of `CoherentConfiguration`: partition equality and the reflexive
+classes."""
 
 import math
 from unittest import mock
@@ -17,7 +18,8 @@ from cohcfg.cc import (CoherentConfiguration, first_occurrence_relabel,
 from cohcfg.perm import PermGroup
 from cohcfg.wl import stabilize
 
-from test_wl import reference_stabilize
+from test_cc import cycle_partition
+from test_wl import reference_round, reference_stabilize
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -118,6 +120,59 @@ def test_fiber_split_alone_is_renumbered_by_first_appearance(monkeypatch):
     assert split and all(rank == int(ids.max()) + 1 for _, rank in rounds)
     assert np.array_equal(out, reference_stabilize(M))
     assert not np.array_equal(out, ids)
+
+
+@st.composite
+def individualized_matrices(draw):
+    """(matrix, coherent): a matrix from `color_matrices` or a small
+    coherent configuration (a cycle's closure, passman(3), hollmann_large(8)),
+    with one to three points recolored on the diagonal, each to a new
+    singleton fiber or, in about half the draws, two of them to one new
+    2-point fiber; ``coherent`` when the base was coherent and every
+    recolored point is a singleton"""
+    kind = draw(st.sampled_from(["random", "cycle", "passman", "hollmann"]))
+    if kind == "random":
+        M = draw(color_matrices())
+    elif kind == "cycle":
+        M = stabilize(cycle_partition(draw(st.integers(5, 7))))
+    elif kind == "passman":
+        M = schemes.passman_scheme(3)[0].colors
+    else:
+        M = schemes.hollmann_large(8)[0].colors
+    M = np.array(M, dtype=np.int64)
+    n = len(M)
+    points = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n),
+                           unique=True))
+    pair = len(points) >= 2 and draw(st.booleans())
+    new = int(M.max()) + 1
+    for i, p in enumerate(points):
+        M[p, p] = new + (0 if pair and i < 2 else i)
+    return M, kind != "random" and not pair
+
+
+def partition_pairs(fine, coarse):
+    """the distinct (fine, coarse) id pairs over the cells"""
+    return set(zip(fine.ravel().tolist(), coarse.ravel().tolist()))
+
+
+@SETTINGS
+@hypothesis.given(individualized_matrices())
+def test_point_split_is_two_exact_rounds_at_most(drawn):
+    # exact round 1 makes the fiber split; the point labels read fibers
+    # that only round 1 names, so two rounds refine the point split, and
+    # on a coherent input with singletons individualized they equal it
+    M, coherent = drawn
+    n = len(M)
+    r = int(M.max()) + 1
+    base = np.unique((M * r + M.T) * 2 + np.eye(n, dtype=np.int64),
+                     return_inverse=True)[1].reshape(n, n)
+    exact = reference_round(reference_round(base))
+    ids, _ = wl._normalize(M)
+    pairs = partition_pairs(exact, ids)
+    assert len(pairs) == len({e for e, _ in pairs})        # exact refines the split
+    if coherent:
+        assert len(pairs) == len({i for _, i in pairs})
+    assert np.array_equal(stabilize(M), reference_stabilize(M))
 
 
 @st.composite
