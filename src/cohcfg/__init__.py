@@ -7,7 +7,7 @@ groups, and machine checks of the structural claims about these schemes.
 """
 
 from .cc import (CoherentConfiguration, IntersectionTensor, FusionMap,
-                 algebraic_fusion, induced_color_action, same_partition)
+                 algebraic_fusion, induced_color_action)
 from .analysis import (AutGroup, automorphism_group, base_number,
                        check_bound_201444a, check_cor_423939b,
                        is_schurian, is_separable_small, matching_graph)
@@ -29,8 +29,8 @@ __all__ = [
     "check_bound_201444a", "check_cor_423939b", "coherent_closure",
     "extend_points", "hollmann_large", "hollmann_small",
     "induced_color_action", "is_schurian", "is_separable_small",
-    "known_claims", "matching_graph", "passman_scheme", "same_partition",
-    "trace_label_check", "two_extension", "verify_claim",
+    "known_claims", "matching_graph", "passman_scheme", "trace_label_check",
+    "two_extension", "verify_claim",
 ]
 
 __version__ = "0.1.0"

@@ -110,26 +110,6 @@ def _scan_classes(order, change, first, inverse):
         j += starts.size
 
 
-def first_occurrence_relabel(colors):
-    """Relabel classes by order of first appearance (row-major scan).
-
-    Two matrices describe the same partition of the cells exactly when
-    their relabelings are equal arrays.
-    """
-    colors = np.asarray(colors)
-    first, inv = color_classes(colors)[1:]
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inv].reshape(colors.shape)
-
-
-def same_partition(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    return np.array_equal(first_occurrence_relabel(a), first_occurrence_relabel(b))
-
-
 def canonicalize_colors(colors):
     """Canonical ids: reflexive classes first, then valency, then least cell.
 
@@ -161,14 +141,20 @@ def _first_row_counts(M, first_rows):
     return np.bincount(M[first_rows[M] == rows], minlength=len(first_rows))
 
 
-def checked_colors(colors):
+def integer_colors(colors):
     """The color matrix as an array; UsageError unless it is square with
-    nonnegative integer ids."""
+    integer ids."""
     colors = np.asarray(colors)
     if colors.ndim != 2 or colors.shape[0] != colors.shape[1]:
         raise UsageError("color matrix must be square")
     if not np.issubdtype(colors.dtype, np.integer):
         raise UsageError(f"color ids must be integers, not {colors.dtype}")
+    return colors
+
+
+def checked_colors(colors):
+    """`integer_colors`, and UsageError unless the ids are nonnegative."""
+    colors = integer_colors(colors)
     if colors.size and colors.min() < 0:
         raise UsageError("color ids must be nonnegative")
     return colors

@@ -75,9 +75,10 @@ returned ids are those of exact WL rounds.  Where the point split
 splits nothing, the normalized ids are those of the untagged code, as
 in an exact run whose first rounds split nothing; the label values,
 which depend on the weights, never reach the output.  Where it splits a
-class and no hash round splits anything after it, the result is
-renumbered by first appearance once, at the end, as the exact rounds
-would have done.
+class, `_normalize` numbers the classes by first appearance, as the
+exact rounds would have done; a later hash round then draws each
+class's weights by that number, which can only matter where a hash
+collides.
 
 The group route (``stabilize(..., group=H)``, a `PermGroup`).  Let H be a
 group whose elements preserve the input colors.  The hashes read color
@@ -113,21 +114,23 @@ confirming round nor the certificate.
 Memory.  A phase frees each temporary after its last read and holds,
 above its input, per-color arrays and at most three of 8 bytes per cell:
 the code, its order and the ids (`_normalize`, whose labels take row
-blocks); the key, B[M] and row
-blocks, then the key, its order and the sorted key, then the order, new
-ids and new matrix (`_hash_round`); listed cells, code tables (the sorted
-codes of `_is_coherent`); for the products, see `products`.
+blocks and whose renumbering by first appearance writes over the ids);
+the key, B[M] and row blocks, then the key, its order and the sorted
+key, then the order, new ids and new matrix (`_hash_round`); listed
+cells, code tables (the sorted codes of `_is_coherent`); for the
+products, see `products`.
 `stabilize` drops its input once `_normalize` has read it; `extend_points`
 makes its recolored copy in the call, so that reference is the last.
 """
 
 import math
+import numbers
 from collections import namedtuple
 
 import numpy as np
 
 from .cc import (CoherentConfiguration, cells_by_color, checked_colors,
-                 color_classes, first_occurrence_relabel)
+                 color_classes, integer_colors)
 from .errors import UsageError, require_memory
 
 # estimated bytes per cell of a stabilization: about 35 for a whole 496-point
@@ -149,8 +152,7 @@ _Route = namedtuple("_Route", "reps layers count")   # see `_group_route`
 
 def _normalize(colors):
     """Contiguous ids refined by (color, transposed color, diagonal flag,
-    label of the row point, label of the column point); returns (ids,
-    split), with ``split`` telling whether the labels split a class.
+    label of the row point, label of the column point).
 
     Enforces the rainbow preconditions: the diagonal is separated from
     off-diagonal cells and every class has a well defined transpose.
@@ -160,13 +162,15 @@ def _normalize(colors):
     matrix).  The code is compacted again before the labels widen it k^2
     times (k labels): through a table where that table is small, and by
     a sort where the widened code could pass 2^63.
-    Ids number the codes in increasing order: where the labels split
-    nothing, they are the ids of the untagged code.
+    Where the labels split nothing, the ids number the codes in
+    increasing order: they are the ids of the untagged code.  Where they
+    split a class, the classes are numbered by first appearance in
+    row-major order, from the first cells the grouping returns.
     """
     c = np.asarray(colors, dtype=np.int64)
     n = c.shape[0]
     if n == 0:
-        return c.reshape(0, 0), False
+        return c.reshape(0, 0)
     if c.min() < 0 or c.max() >= n * n:
         c = color_classes(c)[2].reshape(n, n)
     r = int(c.max()) + 1
@@ -189,10 +193,19 @@ def _normalize(colors):
     code += point[:, None]
     code *= k
     code += point
-    values, _, ids = color_classes(code)
-    del code, _
+    values, first, ids = color_classes(code)
+    del code
     untagged = values // (k * k)
-    return ids.reshape(n, n), bool(np.any(untagged[1:] == untagged[:-1]))
+    split = np.any(untagged[1:] == untagged[:-1])
+    del values, untagged
+    if split:
+        # ids by first appearance, as after the exact rounds that the
+        # point split stands for
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        del first
+        np.take(rank, ids, out=ids, mode="clip")      # each read before its write
+    return ids.reshape(n, n)
 
 
 def _point_labels(c, r):
@@ -486,12 +499,13 @@ def stabilize(colors, *, certify=True, group=None):
     equal and no certificate is needed.  A round that splits nothing
     below that count goes to the certificate, as without a group.  The
     raw ids are the same with and without ``group``: by first appearance
-    if any class split, else `_normalize`'s.  The input is released
-    once `_normalize` has read it.
+    if any class split, in a hash round or in `_normalize`, which then
+    renumbers them itself; else the ids of the untagged code.  The input
+    is released once `_normalize` has read it.
     """
     n = len(colors)
     require_stabilize_memory(n)
-    M, split = _normalize(colors)
+    M = _normalize(colors)
     del colors
     if n == 0:
         return M
@@ -502,20 +516,17 @@ def stabilize(colors, *, certify=True, group=None):
     while r < stop:
         M2, r2 = _hash_round(M, r, rng, route)
         if r2 > r:
-            M, r, split = M2, r2, False
+            M, r = M2, r2
         elif not certify or _is_coherent(M):
             break
-    # ids by first appearance, as after the exact rounds that the point
-    # split stands for
-    return first_occurrence_relabel(M) if split else M
+    return M
 
 
 def coherent_closure(colors):
-    """Smallest coherent configuration refining the given color matrix."""
-    colors = np.asarray(colors)
-    if colors.ndim != 2 or colors.shape[0] != colors.shape[1]:
-        raise UsageError("color matrix must be square")
-    return CoherentConfiguration(stabilize(colors))
+    """Smallest coherent configuration refining the given color matrix,
+    a square matrix of integer ids (UsageError otherwise), which may be
+    negative."""
+    return CoherentConfiguration(stabilize(integer_colors(colors)))
 
 
 def extend_points(cfg, points, *, group=None):
@@ -526,7 +537,9 @@ def extend_points(cfg, points, *, group=None):
     of cfg's colors is made in the call to `stabilize`, which thus holds
     its only reference and frees it after normalizing.
     """
-    points = [int(p) for p in points]
+    points = list(points)
+    if any(isinstance(p, bool) or not isinstance(p, numbers.Integral) for p in points):
+        raise UsageError("extension points must be integers")
     if len(set(points)) != len(points):
         raise UsageError("extension points must be distinct")
     if any(p < 0 or p >= cfg.degree for p in points):

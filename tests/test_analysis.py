@@ -14,7 +14,7 @@ from cohcfg.perm import PermGroup
 from cohcfg.wl import extend_points
 
 from test_cc import thin_scheme, trivial_scheme
-from test_wl import dihedral, record_stabilize
+from test_wl import ParityWeights, dihedral, record_stabilize
 
 
 def automorphism_count_oracle(cfg):
@@ -509,10 +509,13 @@ def test_search_answers_survive_hash_collisions(monkeypatch, hollmann8,
                                                 hollmann16, passman_schemes):
     cfgs = [passman_schemes[3][0], passman_schemes[5][0], hollmann8[0],
             hollmann16[0]]
-    # one hash with weights 1 and 2 collides often, and point labels that
-    # keep only the fibers collide on every multiset
+    # one hash whose weights, 1 and 2 by the parity of the color id, are
+    # the same in every round collides often, and point labels that keep
+    # only the fibers collide on every multiset
+    real_round = wl._hash_round
     monkeypatch.setattr(wl, "_MIX", wl._MIX[:1])
-    monkeypatch.setattr(wl, "_hash_modulus", lambda n: 3)
+    monkeypatch.setattr(wl, "_hash_round", lambda M, r, rng, *route:
+                        real_round(M, r, ParityWeights(), *route))
     monkeypatch.setattr(wl, "_point_labels", fiber_labels)
     calls = record_stabilize(monkeypatch, analysis)
     # the orders and the oracle count without collisions

@@ -3,8 +3,7 @@ import pytest
 
 from cohcfg.cc import (CoherentConfiguration, IntersectionTensor,
                        algebraic_fusion, canonicalize_colors, cells_by_color,
-                       color_classes, first_occurrence_relabel,
-                       induced_color_action, same_partition, tensor_bijections)
+                       color_classes, induced_color_action, tensor_bijections)
 from cohcfg.errors import (ColorActionError, IntegrityError,
                            ResourceLimitError, UsageError)
 from cohcfg.perm import PermGroup
@@ -396,10 +395,9 @@ def test_induced_color_action_failure(passman_schemes):
 def test_partition_equality_is_label_independent():
     M = cycle_partition(5)
     relabeled = np.array([[2, 0, 1][c] for c in M.ravel()]).reshape(M.shape)
-    assert same_partition(M, relabeled)
-    assert not same_partition(M, cycle_partition(6)[:5, :5])
-    assert np.array_equal(first_occurrence_relabel(relabeled),
-                          first_occurrence_relabel(M))
+    cfg = CoherentConfiguration(M)
+    assert cfg.same_partition(CoherentConfiguration(relabeled))
+    assert not cfg.same_partition(CoherentConfiguration(cycle_partition(6)[:5, :5]))
 
 
 def test_canonical_ids_reflexive_first_then_valency():
@@ -528,7 +526,9 @@ def id_corpus():
 
 
 def unique_relabel(colors):
-    """first_occurrence_relabel on np.unique, as it was written before"""
+    """classes numbered by first appearance in row-major order, on
+    np.unique: two matrices have the same partition exactly when these
+    are equal arrays"""
     _, first, inv = np.unique(colors, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first, kind="stable")] = np.arange(len(first))
@@ -557,8 +557,6 @@ def test_color_grouping_matches_unique_copies():
         colors = flat.reshape(n, n)
         assert np.array_equal(canonicalize_colors(colors)[0],
                               loop_canonicalize(colors))
-        assert np.array_equal(first_occurrence_relabel(colors),
-                              unique_relabel(colors))
         cfg = CoherentConfiguration(colors)
         _, first = np.unique(cfg.colors, return_index=True)
         assert np.array_equal(cfg.first_rows, first // n)

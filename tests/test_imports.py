@@ -41,21 +41,36 @@ def test_no_unused_top_level_imports(module):
 
 
 def unnamed_definitions(modules, others=()):
-    """Functions, methods and classes defined in the ``modules`` sources
-    whose name occurs as a word in no module or ``others`` source except
-    at their own definitions.  Dunders, and functions registered by a
-    decorator call such as ``@claim(...)``, are exempt."""
-    defined = Counter()
-    for source in modules:
-        for node in ast.walk(ast.parse(source)):
+    """Functions, methods and classes defined in the ``modules`` sources,
+    a mapping from module name to source, whose name occurs as a word in
+    no module or ``others`` source except at their own definitions.  A
+    module-level function counts as named only where its name stands
+    bare or as ``<its module>.name``, not as another object's attribute
+    and not in ``__init__``, which only re-exports.  Dunders, and
+    functions registered by a decorator call such as ``@claim(...)``,
+    are exempt."""
+    defined, home = Counter(), defaultdict(set)
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             dunder = node.name.startswith("__") and node.name.endswith("__")
             registered = any(isinstance(d, ast.Call) for d in node.decorator_list)
             if not (dunder or registered):
                 defined[node.name] += 1
-    words = Counter(w for text in (*modules, *others) for w in re.findall(r"\w+", text))
-    return sorted(name for name, count in defined.items() if words[name] <= count)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                home[node.name].add(module)
+    words = Counter(w for text in (*modules.values(), *others)
+                    for w in re.findall(r"\w+", text))
+    strict = Counter()              # bare words and <module>.name, outside __init__
+    for text in (*(s for m, s in modules.items() if m != "__init__"), *others):
+        strict.update(re.findall(r"(?<![\w.])\w+", text))
+        strict.update(name for m, name in re.findall(r"(\w+)\.(?=(\w+))", text)
+                      if m in home.get(name, ()))
+    return sorted(name for name, count in defined.items()
+                  if words[name] <= count or (name in home and strict[name] <= count))
 
 
 def test_unnamed_definition_finder():
@@ -63,13 +78,19 @@ def test_unnamed_definition_finder():
               "class A:\n    def __init__(self):\n        self.used()\n\n"
               "    def used(self):\n        pass\n\n"
               "    def unused(self):\n        pass\n")
-    assert unnamed_definitions([module], ["A()\n"]) == ["unused"]
-    assert unnamed_definitions([module]) == ["A", "unused"]
+    assert unnamed_definitions({"m": module}, ["A()\n"]) == ["unused"]
+    assert unnamed_definitions({"m": module}) == ["A", "unused"]
+    # a module function named only as a method's attribute or re-exported
+    shadowed = {"m": "def used():\n    pass\n\n" + module,
+                "__init__": "from .m import used\n__all__ = ['used']\n"}
+    assert unnamed_definitions(shadowed, ["A()\n"]) == ["unused", "used"]
+    for caller in ("used()\n", "m.used()\n"):
+        assert unnamed_definitions(shadowed, ["A()\n", caller]) == ["unused"]
 
 
 def package_sources():
-    return [read(os.path.join(SRC, f)) for f in sorted(os.listdir(SRC))
-            if f.endswith(".py")]
+    return {f[:-3]: read(os.path.join(SRC, f)) for f in sorted(os.listdir(SRC))
+            if f.endswith(".py")}
 
 
 def caller_sources():
@@ -148,4 +169,4 @@ def test_unset_parameter_finder():
 
 
 def test_every_defaulted_parameter_is_set_outside_the_tests():
-    assert unset_parameters(package_sources(), caller_sources()) == []
+    assert unset_parameters(package_sources().values(), caller_sources()) == []

@@ -475,6 +475,23 @@ def test_order_and_membership_match_sympy():
         assert all(G.contains(w) for w in words)
 
 
+def test_scheme_group_orders_match_sympy(hollmann8, hollmann16, hollmann32, small8,
+                                         passman_schemes):
+    # the constructing groups of the paper's schemes: orders and orders
+    # of the stabilizer of point 0
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    Permutation = combinatorics.Permutation
+    groups = [hollmann8[1], hollmann16[1], hollmann32[1], small8[1],
+              *(passman_schemes[q][1] for q in (3, 5, 7, 9))]
+    want = [(504, 18), (4080, 34), (32736, 66), (1512, 54), (72, 8), (400, 16),
+            (1176, 24), (2592, 32)]
+    for G, orders in zip(groups, want):
+        oracle = combinatorics.PermutationGroup(
+            [Permutation(list(g)) for g in G.generators])
+        assert (G.order(), G.point_stabilizer(0).order()) == orders
+        assert (oracle.order(), oracle.stabilizer(0).order()) == orders
+
+
 def test_orbit_layers_span_each_orbit_from_its_least_point():
     rng = np.random.default_rng(7)
     for n in (1, 5, 12, 40):

@@ -93,6 +93,12 @@ def test_extend_guards(hollmann8):
         extend_points(cfg, [0, 0])
     with pytest.raises(UsageError):
         extend_points(cfg, [99])
+    # int() made [0.7] the extension at point 0 and accepted "1"
+    for points in ([0.7], ["1"], [True], [np.float64(1)]):
+        with pytest.raises(UsageError, match="integers"):
+            extend_points(cfg, points)
+    assert np.array_equal(extend_points(cfg, [np.int64(1)]).colors,
+                          extend_points(cfg, [1]).colors)
 
 
 def test_extend_hollmann8_fibers(hollmann8):
@@ -249,7 +255,7 @@ def test_normalize_holds_at_most_32_bytes_per_cell_on_search_nodes(extend496):
 
 
 CELL_PHASES = [(wl, "_normalize"), (wl, "_hash_round"), (wl, "_is_coherent"),
-               (wl, "first_occurrence_relabel"), (cc, "canonicalize_colors")]
+               (cc, "canonicalize_colors")]
 
 
 def test_each_phase_holds_at_most_32_bytes_per_cell(monkeypatch, extend496):
@@ -270,9 +276,7 @@ def test_each_phase_holds_at_most_32_bytes_per_cell(monkeypatch, extend496):
     tracemalloc.start()
     try:
         for cfg, points in extend496:
-            # neither extension needs the final relabeling, so it runs on
-            # the result
-            wl.first_occurrence_relabel(extend_points(cfg, points).colors)
+            extend_points(cfg, points)
     finally:
         tracemalloc.stop()
     assert {name for name, _ in held} == {name for _, name in CELL_PHASES}
@@ -439,8 +443,7 @@ def test_raw_ids_match_reference_on_wl_hard_inputs():
 def test_stable_input_keeps_normalize_ids():
     M = SHRIKHANDE
     out = stabilize(M)
-    ids, split = wl._normalize(M)
-    assert not split
+    ids = wl._normalize(M)
     assert np.array_equal(out, ids)
     assert np.array_equal(out, reference_stabilize(M))
     # the normalize ids are not first-appearance ids, so the check has teeth
@@ -602,7 +605,7 @@ class ParityWeights:
 
 def test_hash_round_never_merges_classes(hollmann8):
     # constant weights hash every cell alike; the old colors must survive
-    M, _ = wl._normalize(with_fixed_points(hollmann8[0], [0]))
+    M = wl._normalize(with_fixed_points(hollmann8[0], [0]))
     r = int(M.max()) + 1
     out, rank = wl._hash_round(M, r, ConstantWeights())
     assert rank == r and np.array_equal(out, M)
@@ -614,7 +617,7 @@ def test_hash_round_never_merges_classes(hollmann8):
 
 
 def test_hash_round_returns_a_stable_matrix_unchanged(hollmann8):
-    M, _ = wl._normalize(hollmann8[0].colors)
+    M = wl._normalize(hollmann8[0].colors)
     r = int(M.max()) + 1
     out, rank = wl._hash_round(M, r, np.random.default_rng(1))
     assert out is M and rank == r
@@ -661,6 +664,16 @@ def test_closure_of_large_and_negative_ids():
     assert np.array_equal(stabilize(neg + 2), reference_stabilize(neg + 2))
     extreme = np.array([[-2 ** 62, 2 ** 62], [2 ** 62, 2 ** 62 - 1]])
     assert np.array_equal(stabilize(extreme), reference_stabilize([[0, 2], [2, 1]]))
+
+
+def test_closure_refuses_non_integer_ids():
+    # a cast to int64 merged the colors 1.2 and 1.7 into one
+    for bad in ([[0, 1.2, 2.0], [1.7, 0, 1.2], [2.0, 1.7, 0]],
+                [[True, False], [False, True]]):
+        with pytest.raises(UsageError, match="integers"):
+            coherent_closure(bad)
+    with pytest.raises(UsageError, match="square"):
+        coherent_closure([0, 1])
 
 
 def test_fiber_tagged_codes_do_not_overflow():
@@ -754,7 +767,7 @@ def test_group_route_keeps_raw_ids_on_the_passman_pairs(monkeypatch, passman_sch
         assert np.array_equal(stabilize(M, group=H), today)
         # the orbit count is the closure's rank: the route stops early
         assert not certificates
-        reps, _, count = wl._group_route(wl._normalize(M)[0], H)
+        reps, _, count = wl._group_route(wl._normalize(M), H)
         assert count == int(today.max()) + 1 and len(reps) < len(M)
 
 
@@ -771,7 +784,7 @@ def test_group_route_keeps_raw_ids_on_large_extensions(monkeypatch, hollmann8,
 
 def test_trivial_group_hashes_every_row(hollmann8):
     M = with_fixed_points(hollmann8[0], [0])
-    N = wl._normalize(M)[0]
+    N = wl._normalize(M)
     n = len(M)
     for group in (PermGroup(n, []), PermGroup(n, [tuple(range(n))])):
         reps, layers, count = wl._group_route(N, group)
@@ -800,7 +813,7 @@ def test_fallback_certifies_when_the_counts_disagree(monkeypatch, small8):
     G0 = G.point_stabilizer(0)
     M = with_fixed_points(cfg, [0])
     today = stabilize(M)
-    assert wl._group_route(wl._normalize(M)[0], G0)[2] > int(today.max()) + 1
+    assert wl._group_route(wl._normalize(M), G0)[2] > int(today.max()) + 1
     certificates = without_certificate(monkeypatch)
     assert np.array_equal(stabilize(M, group=G0), today)
     assert certificates == [M.shape]
